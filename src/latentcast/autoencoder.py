@@ -10,14 +10,13 @@ reconstructions stay in [0, 1].
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .nn.layers import BatchNorm, Conv2D, ConvTranspose2D, LeakyReLU, Sigmoid
 from .nn.losses import LossKind
-from .nn.network import Model, Sequential, register_model_kind, save_checkpoint
+from .nn.network import Model, Sequential, register_model_kind
 from .nn.optim import Optimizer, OptimizerKind, make_optimizer
 from .training import TrainRun, TrainSchedule, fit, predict_batched
 
@@ -129,10 +128,7 @@ def _as_batch(frames: np.ndarray, expected_channels: int) -> tuple[np.ndarray, b
 def encode(model: Autoencoder, frames: np.ndarray, batch_size: int = 64) -> np.ndarray:
     """Eval-mode encoder pass; accepts one frame (H, W, C) or a batch."""
     batch, single = _as_batch(frames, model.config.input_channels)
-    maps = np.concatenate(
-        [model.encoder.forward(batch[i : i + batch_size], train=False)
-         for i in range(0, len(batch), batch_size)]
-    )
+    maps = predict_batched(model.encoder, batch, batch_size)
     return maps[0] if single else maps
 
 
@@ -148,10 +144,7 @@ def decode(model: Autoencoder, fmaps: np.ndarray, batch_size: int = 64) -> np.nd
         raise ShapeError(f"expected (h, w, c) or (N, h, w, c), got shape {fmaps.shape}")
     if tuple(fmaps.shape[1:]) != expected:
         raise ShapeError(f"feature map shape {fmaps.shape[1:]} != bottleneck {expected}")
-    frames = np.concatenate(
-        [model.decoder.forward(fmaps[i : i + batch_size], train=False)
-         for i in range(0, len(fmaps), batch_size)]
-    )
+    frames = predict_batched(model.decoder, fmaps, batch_size)
     return frames[0] if single else frames
 
 
@@ -210,17 +203,8 @@ class LatentScaler:
         return latents * self.std + self.mean
 
 
-def decode_dataset(model: Autoencoder, latents: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Decode a (N, h, w, c) latent batch back to frames."""
-    return decode(model, latents, batch_size)
-
-
 def reconstruct(model: Autoencoder, frames: np.ndarray, batch_size: int = 64) -> np.ndarray:
     return predict_batched(model, frames, batch_size)
-
-
-def save_autoencoder(path: str | Path, model: Autoencoder, optimizer=None, rng_state=None) -> Path:
-    return save_checkpoint(path, model, optimizer=optimizer, rng_state=rng_state)
 
 
 def _build_from_spec(spec: dict) -> Autoencoder:

@@ -21,6 +21,7 @@ from .autoencoder import (
 from .dataio import (
     DatasetSplit,
     VideoDataset,
+    index_ids,
     load_frame_directory,
     load_sequences_npy,
     parse_array_file,
@@ -304,9 +305,8 @@ def _cmd_train_seq(args) -> int:
     )
     if args.split:
         split = DatasetSplit.from_json(Path(args.split).read_text())
-        idx = {sid: i for i, sid in enumerate(ids)}
-        train_lat = latents[[idx[i] for i in split.train_ids]]
-        val_lat = latents[[idx[i] for i in split.val_ids]] if split.val_ids else None
+        train_lat = latents[index_ids(ids, split.train_ids)]
+        val_lat = latents[index_ids(ids, split.val_ids)] if split.val_ids else None
     else:
         train_lat, val_lat = latents, None
     tr_in, tr_tg, _ = window_dataset(train_lat, config.window)

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DataError,
     FormatError,
     GapError,
     InconsistentSequenceError,
@@ -65,6 +66,18 @@ class FrameSequence:
         return tuple(self.frames.shape[1:])
 
 
+def index_ids(ids: list[str], wanted: list[str]) -> list[int]:
+    """Position in ``ids`` of each of ``wanted``; raises a DataError naming
+    the ids that are not there."""
+    where: dict[str, int] = {}
+    for i, seq_id in enumerate(ids):
+        where.setdefault(seq_id, i)
+    missing = [seq_id for seq_id in wanted if seq_id not in where]
+    if missing:
+        raise DataError(f"{len(missing)} unknown sequence ids, first {missing[:5]}")
+    return [where[seq_id] for seq_id in wanted]
+
+
 @dataclass
 class VideoDataset:
     """A stack of equally-shaped sequences with provenance ids."""
@@ -91,10 +104,10 @@ class VideoDataset:
         return self.data.shape[0]
 
     def sequence(self, seq_id: str) -> np.ndarray:
-        return self.data[self.ids.index(seq_id)]
+        return self.data[index_ids(self.ids, [seq_id])[0]]
 
     def select(self, ids: list[str]) -> "VideoDataset":
-        idx = [self.ids.index(i) for i in ids]
+        idx = index_ids(self.ids, ids)
         labels = [self.labels[i] for i in idx] if self.labels is not None else None
         return VideoDataset(self.data[idx], list(ids), labels)
 

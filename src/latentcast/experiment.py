@@ -37,6 +37,7 @@ from .metrics import (
 )
 from .nn.network import Model
 from .seqmodels import (
+    LAYERED_KINDS,
     SeqModelConfig,
     SeqModelKind,
     build_seq_model,
@@ -45,10 +46,6 @@ from .seqmodels import (
     window_dataset,
 )
 from .training import TrainRun, TrainSchedule, evaluate_loss
-
-# hidden-layer axes are meaningless for the depth-free kinds
-_LAYERLESS = {SeqModelKind.CNN3D, SeqModelKind.CRNN}
-
 
 class IdTracker:
     """Guards test-set hygiene: any test id registered for a training or
@@ -76,7 +73,7 @@ def grid_enumerate(grid: dict[str, list], kind: SeqModelKind | None = None) -> l
     """Full cartesian product of the grid axes in lexicographic axis order;
     the hidden-layer axis is dropped for kinds that have no depth knob."""
     axes = dict(grid)
-    if kind is not None and SeqModelKind(kind) in _LAYERLESS:
+    if kind is not None and SeqModelKind(kind) not in LAYERED_KINDS:
         axes.pop("hidden_layers", None)
     for name, values in axes.items():
         if not values:

@@ -2,7 +2,7 @@
 optimizers, He initialization, checkpointing and gradient checking."""
 
 from . import functional
-from .cells import Cell, ConvElmanCell, ConvLSTMCell, ElmanCell, GRUCell, LSTMCell, cell_from_spec
+from .cells import Cell, ConvElmanCell, ConvLSTMCell, ElmanCell, GRUCell, LSTMCell, Recurrence
 from .gradcheck import check_model_gradients, finite_difference, max_relative_error
 from .init import he_gain, he_normal
 from .layers import (
@@ -17,7 +17,6 @@ from .layers import (
     Module,
     Reshape,
     Sigmoid,
-    layer_from_spec,
 )
 from .losses import LossKind, loss, loss_with_grad
 from .network import (
@@ -51,16 +50,15 @@ __all__ = [
     "Optimizer",
     "OptimizerKind",
     "RMSProp",
+    "Recurrence",
     "Reshape",
     "Sequential",
     "Sigmoid",
-    "cell_from_spec",
     "check_model_gradients",
     "finite_difference",
     "functional",
     "he_gain",
     "he_normal",
-    "layer_from_spec",
     "load_checkpoint",
     "loss",
     "loss_with_grad",

@@ -1,4 +1,5 @@
-"""Recurrent cells with per-timestep caches for backpropagation through time.
+"""Recurrent cells with per-timestep caches, and the ``Recurrence`` layer that
+unrolls a stack of them for backpropagation through time.
 
 ``step`` returns (output, new_state, cache); ``backstep`` consumes one cache
 plus the incoming output/state gradients and returns (dx, dstate), adding
@@ -13,12 +14,32 @@ import numpy as np
 from ..errors import ConfigError
 from . import functional as F
 from .init import he_normal
-from .layers import Module
+from .layers import Layer, Module
 
 
 class Cell(Module):
-    def init_state(self, batch: int, dtype=np.float32):
-        raise NotImplementedError
+    """Recurrent cell with ``gates`` pre-activation blocks and ``state_count``
+    state arrays. The parameters here are those of the vector cells, whose
+    blocks are ``x Wx + h Wh + b``; ``ConvCell`` replaces them."""
+
+    gates = 1
+    state_count = 1
+
+    def __init__(self, name, input_size, hidden_size):
+        super().__init__(name)
+        self.input_size, self.hidden_size = input_size, hidden_size
+
+    def init_params(self, rng, slope, dtype=np.float32):
+        m, n, g = self.input_size, self.hidden_size, self.gates
+        self._register("wx", he_normal((m, g * n), m, slope, rng, dtype))
+        self._register("wh", he_normal((n, g * n), n, slope, rng, dtype))
+        self._register("b", np.zeros(g * n, dtype=dtype))
+
+    def init_state(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Zero state for a window whose first step input is ``x``
+        (batch, ..., features); states are never updated in place."""
+        z = np.zeros((*x.shape[:-1], self.hidden_size), dtype=x.dtype)
+        return (z,) * self.state_count
 
     def step(self, x, state):
         raise NotImplementedError
@@ -26,22 +47,52 @@ class Cell(Module):
     def backstep(self, cache, dh, dstate):
         raise NotImplementedError
 
+    def _affine_backward(self, x, dzx, h, dzh):
+        """Gradients through ``x Wx + h Wh + b`` given the pre-activation
+        gradient of the input part ``dzx`` and of the hidden part ``dzh``."""
+        self.grads["wx"] += x.T @ dzx
+        self.grads["wh"] += h.T @ dzh
+        self.grads["b"] += dzx.sum(axis=0)
+        return dzx @ self.params["wx"].T, dzh @ self.params["wh"].T
+
+
+def _lstm_gates(z, c, n):
+    """LSTM update from pre-activations packed [input, forget, candidate,
+    output] along the last axis."""
+    i = F.sigmoid(z[..., :n])
+    f = F.sigmoid(z[..., n : 2 * n])
+    g = np.tanh(z[..., 2 * n : 3 * n])
+    o = F.sigmoid(z[..., 3 * n :])
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    return o * tc, c_new, (c, i, f, g, o, tc)
+
+
+def _lstm_gates_backward(gate_cache, dh, dstate):
+    """(d pre-activations, d previous cell state) of ``_lstm_gates``."""
+    c_prev, i, f, g, o, tc = gate_cache
+    dc_next = None
+    if dstate is not None:
+        dh = dh + dstate[0]
+        dc_next = dstate[1]
+    do = dh * tc
+    dc = F.tanh_backward(dh * o, tc)
+    if dc_next is not None:
+        dc = dc + dc_next
+    dz = np.concatenate(
+        [
+            F.sigmoid_backward(dc * g, i),
+            F.sigmoid_backward(dc * c_prev, f),
+            F.tanh_backward(dc * i, g),
+            F.sigmoid_backward(do, o),
+        ],
+        axis=-1,
+    )
+    return dz, dc * f
+
 
 class ElmanCell(Cell):
     """h' = tanh(x Wx + h Wh + b)"""
-
-    def __init__(self, name, input_size, hidden_size):
-        super().__init__(name)
-        self.input_size, self.hidden_size = input_size, hidden_size
-
-    def init_params(self, rng, slope, dtype=np.float32):
-        m, n = self.input_size, self.hidden_size
-        self._register("wx", he_normal((m, n), m, slope, rng, dtype))
-        self._register("wh", he_normal((n, n), n, slope, rng, dtype))
-        self._register("b", np.zeros(n, dtype=dtype))
-
-    def init_state(self, batch, dtype=np.float32):
-        return (np.zeros((batch, self.hidden_size), dtype=dtype),)
 
     def step(self, x, state):
         (h,) = state
@@ -53,87 +104,27 @@ class ElmanCell(Cell):
         if dstate is not None:
             dh = dh + dstate[0]
         da = F.tanh_backward(dh, h_new)
-        self.grads["wx"] += x.T @ da
-        self.grads["wh"] += h_prev.T @ da
-        self.grads["b"] += da.sum(axis=0)
-        dx = da @ self.params["wx"].T
-        dh_prev = da @ self.params["wh"].T
+        dx, dh_prev = self._affine_backward(x, da, h_prev, da)
         return dx, (dh_prev,)
-
-    def spec(self):
-        return {
-            "kind": "elman",
-            "name": self.name,
-            "input_size": self.input_size,
-            "hidden_size": self.hidden_size,
-        }
 
 
 class LSTMCell(Cell):
     """Gates packed as [input, forget, candidate, output]."""
 
-    def __init__(self, name, input_size, hidden_size):
-        super().__init__(name)
-        self.input_size, self.hidden_size = input_size, hidden_size
-
-    def init_params(self, rng, slope, dtype=np.float32):
-        m, n = self.input_size, self.hidden_size
-        self._register("wx", he_normal((m, 4 * n), m, slope, rng, dtype))
-        self._register("wh", he_normal((n, 4 * n), n, slope, rng, dtype))
-        self._register("b", np.zeros(4 * n, dtype=dtype))
-
-    def init_state(self, batch, dtype=np.float32):
-        z = np.zeros((batch, self.hidden_size), dtype=dtype)
-        return (z, z.copy())
+    gates = 4
+    state_count = 2
 
     def step(self, x, state):
         h, c = state
-        n = self.hidden_size
         z = x @ self.params["wx"] + h @ self.params["wh"] + self.params["b"]
-        i = F.sigmoid(z[:, :n])
-        f = F.sigmoid(z[:, n : 2 * n])
-        g = np.tanh(z[:, 2 * n : 3 * n])
-        o = F.sigmoid(z[:, 3 * n :])
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        return h_new, (h_new, c_new), (x, h, c, i, f, g, o, tc)
+        h_new, c_new, gate_cache = _lstm_gates(z, c, self.hidden_size)
+        return h_new, (h_new, c_new), (x, h, gate_cache)
 
     def backstep(self, cache, dh, dstate):
-        x, h_prev, c_prev, i, f, g, o, tc = cache
-        dc_next = None
-        if dstate is not None:
-            dh = dh + dstate[0]
-            dc_next = dstate[1]
-        do = dh * tc
-        dc = F.tanh_backward(dh * o, tc)
-        if dc_next is not None:
-            dc = dc + dc_next
-        di, df, dg = dc * g, dc * c_prev, dc * i
-        dz = np.concatenate(
-            [
-                F.sigmoid_backward(di, i),
-                F.sigmoid_backward(df, f),
-                F.tanh_backward(dg, g),
-                F.sigmoid_backward(do, o),
-            ],
-            axis=1,
-        )
-        self.grads["wx"] += x.T @ dz
-        self.grads["wh"] += h_prev.T @ dz
-        self.grads["b"] += dz.sum(axis=0)
-        dx = dz @ self.params["wx"].T
-        dh_prev = dz @ self.params["wh"].T
-        dc_prev = dc * f
+        x, h_prev, gate_cache = cache
+        dz, dc_prev = _lstm_gates_backward(gate_cache, dh, dstate)
+        dx, dh_prev = self._affine_backward(x, dz, h_prev, dz)
         return dx, (dh_prev, dc_prev)
-
-    def spec(self):
-        return {
-            "kind": "lstm",
-            "name": self.name,
-            "input_size": self.input_size,
-            "hidden_size": self.hidden_size,
-        }
 
 
 class GRUCell(Cell):
@@ -141,18 +132,7 @@ class GRUCell(Cell):
     applied to the hidden contribution of the candidate (parameter count
     3(nm + n^2 + n))."""
 
-    def __init__(self, name, input_size, hidden_size):
-        super().__init__(name)
-        self.input_size, self.hidden_size = input_size, hidden_size
-
-    def init_params(self, rng, slope, dtype=np.float32):
-        m, n = self.input_size, self.hidden_size
-        self._register("wx", he_normal((m, 3 * n), m, slope, rng, dtype))
-        self._register("wh", he_normal((n, 3 * n), n, slope, rng, dtype))
-        self._register("b", np.zeros(3 * n, dtype=dtype))
-
-    def init_state(self, batch, dtype=np.float32):
-        return (np.zeros((batch, self.hidden_size), dtype=dtype),)
+    gates = 3
 
     def step(self, x, state):
         (h,) = state
@@ -178,129 +158,67 @@ class GRUCell(Cell):
         dzu = F.sigmoid_backward(du, u)
         dxa = np.concatenate([dzr, dzu, dzc], axis=1)
         dha = np.concatenate([dzr, dzu, dzc * r], axis=1)
-        self.grads["wx"] += x.T @ dxa
-        self.grads["wh"] += h_prev.T @ dha
-        self.grads["b"] += dxa.sum(axis=0)
-        dx = dxa @ self.params["wx"].T
-        dh_prev = dha @ self.params["wh"].T + dh * u
-        return dx, (dh_prev,)
-
-    def spec(self):
-        return {
-            "kind": "gru",
-            "name": self.name,
-            "input_size": self.input_size,
-            "hidden_size": self.hidden_size,
-        }
+        dx, dh_prev = self._affine_backward(x, dxa, h_prev, dha)
+        return dx, (dh_prev + dh * u,)
 
 
-class ConvLSTMCell(Cell):
-    """LSTM whose input-to-state and state-to-state transforms are a single
-    3x3 convolution over the channel-concatenated (input, hidden) maps; the
-    hidden state is shaped like the input map with ``hidden_channels``."""
+class ConvCell(Cell):
+    """Cell whose input-to-state and state-to-state transforms are a single
+    odd-sized convolution over the channel-concatenated (input, hidden) maps;
+    the hidden state is shaped like the input map with ``hidden_channels``."""
 
     def __init__(self, name, in_channels, hidden_channels, kernel=3):
-        super().__init__(name)
         if kernel % 2 != 1:
-            raise ConfigError("ConvLSTM kernel must be odd so the state keeps its shape")
-        self.in_channels, self.hidden_channels, self.kernel = in_channels, hidden_channels, kernel
-        self._spatial: tuple[int, int] | None = None
+            raise ConfigError(f"{type(self).__name__} kernel must be odd so the state keeps "
+                              "its shape")
+        super().__init__(name, in_channels, hidden_channels)
+        self.kernel = kernel
 
     def init_params(self, rng, slope, dtype=np.float32):
-        k, ci, ch = self.kernel, self.in_channels, self.hidden_channels
-        self._register("w", he_normal((k, k, ci + ch, 4 * ch), k * k * (ci + ch), slope, rng, dtype))
-        self._register("b", np.zeros(4 * ch, dtype=dtype))
+        k, ci, ch, g = self.kernel, self.input_size, self.hidden_size, self.gates
+        self._register("w", he_normal((k, k, ci + ch, g * ch), k * k * (ci + ch), slope, rng, dtype))
+        self._register("b", np.zeros(g * ch, dtype=dtype))
 
-    def init_state(self, batch, dtype=np.float32, spatial: tuple[int, int] | None = None):
-        if spatial is None:
-            spatial = self._spatial
-        h, w = spatial
-        z = np.zeros((batch, h, w, self.hidden_channels), dtype=dtype)
-        return (z, z.copy())
-
-    def step(self, x, state):
-        self._spatial = x.shape[1:3]
-        h, c = state
-        ch = self.hidden_channels
-        xc = np.concatenate([x, h], axis=3)
-        z, conv_cache = F.conv2d_forward(
-            xc, self.params["w"], self.params["b"], stride=1, padding=self.kernel // 2
+    def _conv(self, x, h):
+        return F.conv2d_forward(
+            np.concatenate([x, h], axis=3), self.params["w"], self.params["b"], stride=1,
+            padding=self.kernel // 2,
         )
-        i = F.sigmoid(z[..., :ch])
-        f = F.sigmoid(z[..., ch : 2 * ch])
-        g = np.tanh(z[..., 2 * ch : 3 * ch])
-        o = F.sigmoid(z[..., 3 * ch :])
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        return h_new, (h_new, c_new), (conv_cache, c, i, f, g, o, tc)
 
-    def backstep(self, cache, dh, dstate):
-        conv_cache, c_prev, i, f, g, o, tc = cache
-        dc_next = None
-        if dstate is not None:
-            dh = dh + dstate[0]
-            dc_next = dstate[1]
-        do = dh * tc
-        dc = F.tanh_backward(dh * o, tc)
-        if dc_next is not None:
-            dc = dc + dc_next
-        dz = np.concatenate(
-            [
-                F.sigmoid_backward(dc * g, i),
-                F.sigmoid_backward(dc * c_prev, f),
-                F.tanh_backward(dc * i, g),
-                F.sigmoid_backward(do, o),
-            ],
-            axis=3,
-        )
+    def _conv_backward(self, dz, conv_cache):
+        """(dx, dh_prev) through ``_conv``."""
         dxc, dw, db = F.conv2d_backward(dz, conv_cache, self.params["w"])
         self.grads["w"] += dw
         self.grads["b"] += db
-        dx = dxc[..., : self.in_channels]
-        dh_prev = dxc[..., self.in_channels :]
-        dc_prev = dc * f
-        return dx, (dh_prev, dc_prev)
-
-    def spec(self):
-        return {
-            "kind": "convlstm",
-            "name": self.name,
-            "in_channels": self.in_channels,
-            "hidden_channels": self.hidden_channels,
-            "kernel": self.kernel,
-        }
+        return dxc[..., : self.input_size], dxc[..., self.input_size :]
 
 
-class ConvElmanCell(Cell):
-    """Elman recurrence with convolutional input-to-state and state-to-state
-    transforms (tanh), used by the convolutional-RNN predictor."""
+class ConvLSTMCell(ConvCell):
+    """LSTM with convolutional transforms, gates packed as in ``LSTMCell``."""
 
-    def __init__(self, name, in_channels, hidden_channels, kernel=3):
-        super().__init__(name)
-        if kernel % 2 != 1:
-            raise ConfigError("ConvElman kernel must be odd so the state keeps its shape")
-        self.in_channels, self.hidden_channels, self.kernel = in_channels, hidden_channels, kernel
-        self._spatial: tuple[int, int] | None = None
-
-    def init_params(self, rng, slope, dtype=np.float32):
-        k, ci, ch = self.kernel, self.in_channels, self.hidden_channels
-        self._register("w", he_normal((k, k, ci + ch, ch), k * k * (ci + ch), slope, rng, dtype))
-        self._register("b", np.zeros(ch, dtype=dtype))
-
-    def init_state(self, batch, dtype=np.float32, spatial: tuple[int, int] | None = None):
-        if spatial is None:
-            spatial = self._spatial
-        h, w = spatial
-        return (np.zeros((batch, h, w, self.hidden_channels), dtype=dtype),)
+    gates = 4
+    state_count = 2
 
     def step(self, x, state):
-        self._spatial = x.shape[1:3]
+        h, c = state
+        z, conv_cache = self._conv(x, h)
+        h_new, c_new, gate_cache = _lstm_gates(z, c, self.hidden_size)
+        return h_new, (h_new, c_new), (conv_cache, gate_cache)
+
+    def backstep(self, cache, dh, dstate):
+        conv_cache, gate_cache = cache
+        dz, dc_prev = _lstm_gates_backward(gate_cache, dh, dstate)
+        dx, dh_prev = self._conv_backward(dz, conv_cache)
+        return dx, (dh_prev, dc_prev)
+
+
+class ConvElmanCell(ConvCell):
+    """Elman recurrence with convolutional transforms (tanh), used by the
+    convolutional-RNN predictor."""
+
+    def step(self, x, state):
         (h,) = state
-        xc = np.concatenate([x, h], axis=3)
-        z, conv_cache = F.conv2d_forward(
-            xc, self.params["w"], self.params["b"], stride=1, padding=self.kernel // 2
-        )
+        z, conv_cache = self._conv(x, h)
         h_new = np.tanh(z)
         return h_new, (h_new,), (conv_cache, h_new)
 
@@ -308,34 +226,46 @@ class ConvElmanCell(Cell):
         conv_cache, h_new = cache
         if dstate is not None:
             dh = dh + dstate[0]
-        dz = F.tanh_backward(dh, h_new)
-        dxc, dw, db = F.conv2d_backward(dz, conv_cache, self.params["w"])
-        self.grads["w"] += dw
-        self.grads["b"] += db
-        return dxc[..., : self.in_channels], (dxc[..., self.in_channels :],)
-
-    def spec(self):
-        return {
-            "kind": "conv_elman",
-            "name": self.name,
-            "in_channels": self.in_channels,
-            "hidden_channels": self.hidden_channels,
-            "kernel": self.kernel,
-        }
+        dx, dh_prev = self._conv_backward(F.tanh_backward(dh, h_new), conv_cache)
+        return dx, (dh_prev,)
 
 
-_CELL_KINDS = {
-    "elman": ElmanCell,
-    "lstm": LSTMCell,
-    "gru": GRUCell,
-    "convlstm": ConvLSTMCell,
-    "conv_elman": ConvElmanCell,
-}
+class Recurrence(Layer):
+    """Backpropagation through time over a (b, k, ...) window: steps the
+    stacked cells frame by frame from zero states and returns the top cell's
+    last hidden state; ``backward`` returns the gradient of the window. The
+    cells own the parameters, so a model registers them in its place."""
 
+    def __init__(self, name, cells: list[Cell]):
+        super().__init__(name)
+        self.cells = cells
+        self._caches: list[list] = []
+        self._x_shape = None
 
-def cell_from_spec(spec: dict) -> Cell:
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    if kind not in _CELL_KINDS:
-        raise ConfigError(f"unknown cell kind {kind!r}")
-    return _CELL_KINDS[kind](**spec)
+    def modules(self):
+        return list(self.cells)
+
+    def forward(self, x, train=True):
+        states = [cell.init_state(x[:, 0]) for cell in self.cells]
+        self._caches = [[] for _ in self.cells]
+        for t in range(x.shape[1]):
+            h = x[:, t]
+            for layer, cell in enumerate(self.cells):
+                h, states[layer], cache = cell.step(h, states[layer])
+                self._caches[layer].append(cache)
+        self._x_shape = x.shape
+        return h
+
+    def backward(self, dy):
+        k = self._x_shape[1]
+        zero = np.zeros_like(dy)
+        dstates = [None] * len(self.cells)
+        dx = np.zeros(self._x_shape, dtype=dy.dtype)
+        for t in reversed(range(k)):
+            dh = dy if t == k - 1 else zero
+            for layer in reversed(range(len(self.cells))):
+                dh, dstates[layer] = self.cells[layer].backstep(
+                    self._caches[layer][t], dh, dstates[layer]
+                )
+            dx[:, t] = dh
+        return dx

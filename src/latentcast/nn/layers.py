@@ -1,14 +1,10 @@
-"""Feedforward layers: named parameters, cached forward, accumulating backward.
-
-Each layer carries a serializable spec dict so checkpoints can rebuild the
-architecture; ``layer_from_spec`` is the inverse factory.
-"""
+"""Feedforward layers: named parameters, cached forward, accumulating backward."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ShapeError
 from . import functional as F
 from .init import he_normal
 
@@ -32,8 +28,9 @@ class Module:
     def init_params(self, rng: np.random.Generator, slope: float, dtype=np.float32) -> None:
         """Default: no parameters."""
 
-    def spec(self) -> dict:
-        raise NotImplementedError
+    def modules(self) -> list["Module"]:
+        """The modules a model registers for this one, in initialisation order."""
+        return [self]
 
 
 class Layer(Module):
@@ -47,160 +44,84 @@ class Layer(Module):
         raise NotImplementedError
 
 
-class Conv2D(Layer):
-    def __init__(self, name, in_channels, out_channels, kernel=3, stride=2, padding=1):
+class ParamLayer(Layer):
+    """Layer with one He-initialised weight ``w`` (fan-in ``fan_in``) and one
+    zero bias ``b`` sized by the last weight axis. Subclasses supply the
+    functional kernel pair as ``_forward``/``_backward``."""
+
+    def __init__(self, name, w_shape, fan_in):
         super().__init__(name)
-        self.in_channels, self.out_channels = in_channels, out_channels
-        self.kernel, self.stride, self.padding = kernel, stride, padding
+        self.w_shape, self.fan_in = tuple(w_shape), fan_in
         self._cache = None
 
     def init_params(self, rng, slope, dtype=np.float32):
-        k, cin, cout = self.kernel, self.in_channels, self.out_channels
-        self._register("w", he_normal((k, k, cin, cout), k * k * cin, slope, rng, dtype))
-        self._register("b", np.zeros(cout, dtype=dtype))
+        self._register("w", he_normal(self.w_shape, self.fan_in, slope, rng, dtype))
+        self._register("b", np.zeros(self.w_shape[-1], dtype=dtype))
 
     def forward(self, x, train=True):
         try:
-            y, self._cache = F.conv2d_forward(
-                x, self.params["w"], self.params["b"], self.stride, self.padding
-            )
+            y, self._cache = self._forward(x, self.params["w"], self.params["b"])
         except ShapeError as exc:
             raise ShapeError(f"layer {self.name!r}: {exc}") from None
         return y
 
     def backward(self, dy):
-        dx, dw, db = F.conv2d_backward(dy, self._cache, self.params["w"])
+        dx, dw, db = self._backward(dy, self._cache, self.params["w"])
         self.grads["w"] += dw
         self.grads["b"] += db
         return dx
 
-    def spec(self):
-        return {
-            "kind": "conv2d",
-            "name": self.name,
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "kernel": self.kernel,
-            "stride": self.stride,
-            "padding": self.padding,
-        }
+
+class Conv2D(ParamLayer):
+    def __init__(self, name, in_channels, out_channels, kernel=3, stride=2, padding=1):
+        super().__init__(name, (kernel, kernel, in_channels, out_channels),
+                         kernel * kernel * in_channels)
+        self.stride, self.padding = stride, padding
+
+    def _forward(self, x, w, b):
+        return F.conv2d_forward(x, w, b, self.stride, self.padding)
+
+    def _backward(self, dy, cache, w):
+        return F.conv2d_backward(dy, cache, w)
 
 
-class ConvTranspose2D(Layer):
+class ConvTranspose2D(ParamLayer):
     def __init__(self, name, in_channels, out_channels, kernel=3, stride=2, padding=1,
                  output_padding=1):
-        super().__init__(name)
-        self.in_channels, self.out_channels = in_channels, out_channels
-        self.kernel, self.stride = kernel, stride
-        self.padding, self.output_padding = padding, output_padding
-        self._cache = None
+        super().__init__(name, (kernel, kernel, in_channels, out_channels),
+                         kernel * kernel * in_channels)
+        self.stride, self.padding, self.output_padding = stride, padding, output_padding
 
-    def init_params(self, rng, slope, dtype=np.float32):
-        k, cin, cout = self.kernel, self.in_channels, self.out_channels
-        self._register("w", he_normal((k, k, cin, cout), k * k * cin, slope, rng, dtype))
-        self._register("b", np.zeros(cout, dtype=dtype))
+    def _forward(self, x, w, b):
+        return F.conv_transpose2d_forward(x, w, b, self.stride, self.padding,
+                                          self.output_padding)
 
-    def forward(self, x, train=True):
-        try:
-            y, self._cache = F.conv_transpose2d_forward(
-                x, self.params["w"], self.params["b"], self.stride, self.padding,
-                self.output_padding,
-            )
-        except ShapeError as exc:
-            raise ShapeError(f"layer {self.name!r}: {exc}") from None
-        return y
-
-    def backward(self, dy):
-        dx, dw, db = F.conv_transpose2d_backward(dy, self._cache, self.params["w"])
-        self.grads["w"] += dw
-        self.grads["b"] += db
-        return dx
-
-    def spec(self):
-        return {
-            "kind": "conv_transpose2d",
-            "name": self.name,
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "kernel": self.kernel,
-            "stride": self.stride,
-            "padding": self.padding,
-            "output_padding": self.output_padding,
-        }
+    def _backward(self, dy, cache, w):
+        return F.conv_transpose2d_backward(dy, cache, w)
 
 
-class Conv3D(Layer):
+class Conv3D(ParamLayer):
     def __init__(self, name, in_channels, out_channels, kernel=(3, 3, 3), padding=(0, 1, 1)):
-        super().__init__(name)
-        self.in_channels, self.out_channels = in_channels, out_channels
-        self.kernel, self.padding = tuple(kernel), tuple(padding)
-        self._cache = None
+        kd, kh, kw = kernel
+        super().__init__(name, (kd, kh, kw, in_channels, out_channels), kd * kh * kw * in_channels)
+        self.padding = tuple(padding)
 
-    def init_params(self, rng, slope, dtype=np.float32):
-        kd, kh, kw = self.kernel
-        cin, cout = self.in_channels, self.out_channels
-        self._register(
-            "w", he_normal((kd, kh, kw, cin, cout), kd * kh * kw * cin, slope, rng, dtype)
-        )
-        self._register("b", np.zeros(cout, dtype=dtype))
+    def _forward(self, x, w, b):
+        return F.conv3d_forward(x, w, b, self.padding)
 
-    def forward(self, x, train=True):
-        try:
-            y, self._cache = F.conv3d_forward(x, self.params["w"], self.params["b"], self.padding)
-        except ShapeError as exc:
-            raise ShapeError(f"layer {self.name!r}: {exc}") from None
-        return y
-
-    def backward(self, dy):
-        dx, dw, db = F.conv3d_backward(dy, self._cache, self.params["w"])
-        self.grads["w"] += dw
-        self.grads["b"] += db
-        return dx
-
-    def spec(self):
-        return {
-            "kind": "conv3d",
-            "name": self.name,
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "kernel": list(self.kernel),
-            "padding": list(self.padding),
-        }
+    def _backward(self, dy, cache, w):
+        return F.conv3d_backward(dy, cache, w)
 
 
-class Dense(Layer):
+class Dense(ParamLayer):
     def __init__(self, name, in_features, out_features):
-        super().__init__(name)
-        self.in_features, self.out_features = in_features, out_features
-        self._cache = None
+        super().__init__(name, (in_features, out_features), in_features)
 
-    def init_params(self, rng, slope, dtype=np.float32):
-        self._register(
-            "w", he_normal((self.in_features, self.out_features), self.in_features, slope, rng,
-                           dtype)
-        )
-        self._register("b", np.zeros(self.out_features, dtype=dtype))
+    def _forward(self, x, w, b):
+        return F.dense_forward(x, w, b)
 
-    def forward(self, x, train=True):
-        try:
-            y, self._cache = F.dense_forward(x, self.params["w"], self.params["b"])
-        except ShapeError as exc:
-            raise ShapeError(f"layer {self.name!r}: {exc}") from None
-        return y
-
-    def backward(self, dy):
-        dx, dw, db = F.dense_backward(dy, self._cache, self.params["w"])
-        self.grads["w"] += dw
-        self.grads["b"] += db
-        return dx
-
-    def spec(self):
-        return {
-            "kind": "dense",
-            "name": self.name,
-            "in_features": self.in_features,
-            "out_features": self.out_features,
-        }
+    def _backward(self, dy, cache, w):
+        return F.dense_backward(dy, cache, w)
 
 
 class BatchNorm(Layer):
@@ -239,15 +160,6 @@ class BatchNorm(Layer):
     def buffers(self) -> dict[str, np.ndarray]:
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
-    def spec(self):
-        return {
-            "kind": "batchnorm",
-            "name": self.name,
-            "channels": self.channels,
-            "momentum": self.momentum,
-            "eps": self.eps,
-        }
-
 
 class LeakyReLU(Layer):
     def __init__(self, name, slope=0.01):
@@ -262,9 +174,6 @@ class LeakyReLU(Layer):
     def backward(self, dy):
         return F.leaky_relu_backward(dy, self._cache, self.slope)
 
-    def spec(self):
-        return {"kind": "leaky_relu", "name": self.name, "slope": self.slope}
-
 
 class Sigmoid(Layer):
     def __init__(self, name):
@@ -277,9 +186,6 @@ class Sigmoid(Layer):
 
     def backward(self, dy):
         return F.sigmoid_backward(dy, self._cache)
-
-    def spec(self):
-        return {"kind": "sigmoid", "name": self.name}
 
 
 class Flatten(Layer):
@@ -294,11 +200,12 @@ class Flatten(Layer):
     def backward(self, dy):
         return dy.reshape(self._shape)
 
-    def spec(self):
-        return {"kind": "flatten", "name": self.name}
-
 
 class Reshape(Layer):
+    """Reshapes each sample to ``target_shape``; the leading axis takes what
+    is left, so a reshape can also fold a window axis into the batch
+    ((b, k, ...) -> (b*k, ...)) or unfold it."""
+
     def __init__(self, name, target_shape):
         super().__init__(name)
         self.target_shape = tuple(target_shape)
@@ -306,31 +213,7 @@ class Reshape(Layer):
 
     def forward(self, x, train=True):
         self._shape = x.shape
-        return x.reshape((x.shape[0], *self.target_shape))
+        return x.reshape(-1, *self.target_shape)
 
     def backward(self, dy):
         return dy.reshape(self._shape)
-
-    def spec(self):
-        return {"kind": "reshape", "name": self.name, "target_shape": list(self.target_shape)}
-
-
-_LAYER_KINDS = {
-    "conv2d": Conv2D,
-    "conv_transpose2d": ConvTranspose2D,
-    "conv3d": Conv3D,
-    "dense": Dense,
-    "batchnorm": BatchNorm,
-    "leaky_relu": LeakyReLU,
-    "sigmoid": Sigmoid,
-    "flatten": Flatten,
-    "reshape": Reshape,
-}
-
-
-def layer_from_spec(spec: dict) -> Layer:
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    if kind not in _LAYER_KINDS:
-        raise ConfigError(f"unknown layer kind {kind!r}")
-    return _LAYER_KINDS[kind](**spec)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from ..dataio import parse_array_file, write_array_file
-from ..errors import CheckpointError, ShapeError
+from ..errors import CheckpointError
 from .layers import BatchNorm, Layer, Module
 from .optim import Optimizer, optimizer_from_config
 
@@ -54,21 +54,10 @@ class Model:
             m.zero_grads()
 
     def set_params(self, flat: dict[str, np.ndarray]) -> None:
-        own = self.params()
-        for name, value in flat.items():
-            if name not in own:
-                raise CheckpointError(f"unknown parameter {name!r}")
-            if own[name].shape != value.shape:
-                raise ShapeError(
-                    f"parameter {name!r}: stored shape {value.shape} != model shape {own[name].shape}"
-                )
-            np.copyto(own[name], value)
+        _copy_exact("parameter", self.params(), flat)
 
     def set_buffers(self, flat: dict[str, np.ndarray]) -> None:
-        own = self.buffers()
-        for name, value in flat.items():
-            if name in own:
-                np.copyto(own[name], value)
+        _copy_exact("buffer", self.buffers(), flat)
 
     def param_count(self) -> int:
         return sum(v.size for v in self.params().values())
@@ -118,7 +107,9 @@ class Sequential(Model):
 
     def append(self, layer: Layer) -> Layer:
         self.layers.append(layer)
-        return self.add_module(layer)
+        for module in layer.modules():
+            self.add_module(module)
+        return layer
 
     def forward(self, x, train=True):
         for layer in self.layers:
@@ -130,8 +121,20 @@ class Sequential(Model):
             dy = layer.backward(dy)
         return dy
 
-    def spec(self):
-        return {"kind": "sequential", "layers": [layer.spec() for layer in self.layers]}
+
+def _copy_exact(kind: str, own: dict[str, np.ndarray], flat: dict[str, np.ndarray]) -> None:
+    """Copy ``flat`` into ``own`` only if both name the same arrays with the
+    same shapes; otherwise raise before anything is copied."""
+    missing, unknown = sorted(own.keys() - flat.keys()), sorted(flat.keys() - own.keys())
+    if missing or unknown:
+        raise CheckpointError(f"{kind}s differ from the model: missing {missing}, unknown {unknown}")
+    for name, value in flat.items():
+        if value.shape != own[name].shape:
+            raise CheckpointError(
+                f"{kind} {name!r}: stored shape {value.shape} != model shape {own[name].shape}"
+            )
+    for name, value in flat.items():
+        np.copyto(own[name], value)
 
 
 # -- checkpointing -------------------------------------------------------------

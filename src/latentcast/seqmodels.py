@@ -17,14 +17,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, ShapeError, WindowError
-from .nn import functional as F
-from .nn.cells import ConvElmanCell, ConvLSTMCell, ElmanCell, GRUCell, LSTMCell
-from .nn.init import he_normal
-from .nn.layers import Module
+from .nn.cells import ConvElmanCell, ConvLSTMCell, ElmanCell, GRUCell, LSTMCell, Recurrence
+from .nn.layers import Conv2D, Conv3D, Dense, Layer, LeakyReLU, Reshape, Sigmoid
 from .nn.losses import LossKind
-from .nn.network import Model, register_model_kind
+from .nn.network import Sequential, register_model_kind
 from .nn.optim import Optimizer, OptimizerKind, make_optimizer
-from .training import TrainRun, TrainSchedule, fit
+from .training import TrainRun, TrainSchedule, fit, predict_batched
 
 
 class SeqModelKind(str, Enum):
@@ -107,32 +105,33 @@ def window_dataset(
     )
 
 
-class SeqPredictor(Model):
-    """Common plumbing: config, latent geometry, output activation."""
+class SeqPredictor(Sequential):
+    """A predictor is a stack of layers run forward in order and backward in
+    reverse; subclasses list the layers in ``_layers``, whose parameters are
+    He-initialised in that order from ``seed``."""
 
     def __init__(self, config: SeqModelConfig, latent_shape: tuple[int, int, int], seed: int):
-        super().__init__()
         self.config = config
         self.latent_shape = tuple(latent_shape)
         self.seed = seed
+        layers = self._layers(config, *self.latent_shape)
+        if config.output_activation == "sigmoid":
+            layers.append(Sigmoid("out_act"))
+        super().__init__(layers)
+        rng = np.random.default_rng(seed)
+        for module in self.modules():
+            module.init_params(rng, config.leaky_slope)
 
-    def _check_input(self, x: np.ndarray) -> None:
+    def _layers(self, config: SeqModelConfig, h: int, w: int, c: int) -> list[Layer]:
+        raise NotImplementedError
+
+    def forward(self, x, train=True):
         if x.ndim != 5 or x.shape[1] != self.config.window or tuple(x.shape[2:]) != self.latent_shape:
             raise ShapeError(
                 f"expected (batch, {self.config.window}, {', '.join(map(str, self.latent_shape))}), "
                 f"got {x.shape}"
             )
-
-    def _activate(self, pred: np.ndarray) -> np.ndarray:
-        if self.config.output_activation == "sigmoid":
-            self._act_cache = F.sigmoid(pred)
-            return self._act_cache
-        return pred
-
-    def _deactivate(self, dpred: np.ndarray) -> np.ndarray:
-        if self.config.output_activation == "sigmoid":
-            return F.sigmoid_backward(dpred, self._act_cache)
-        return dpred
+        return super().forward(x, train)
 
     def spec(self) -> dict:
         return {
@@ -144,129 +143,35 @@ class SeqPredictor(Model):
 
 
 class VectorRecurrentPredictor(SeqPredictor):
-    """RNN / LSTM / GRU on flattened maps: dense projection into the hidden
-    size, stacked cells over the window, dense projection back."""
+    """RNN / LSTM / GRU on flattened maps: dense projection of every frame
+    into the hidden size, stacked cells over the window, dense projection
+    back."""
 
     _CELLS = {SeqModelKind.RNN: ElmanCell, SeqModelKind.LSTM: LSTMCell, SeqModelKind.GRU: GRUCell}
 
-    def __init__(self, config, latent_shape, seed):
-        super().__init__(config, latent_shape, seed)
-        rng = np.random.default_rng(seed)
-        slope = config.leaky_slope
-        d = int(np.prod(latent_shape))
-        n = config.hidden_size
-        self.in_proj = self.add_module(Module("in_proj"))
-        self.in_proj._register("w", he_normal((d, n), d, slope, rng))
-        self.in_proj._register("b", np.zeros(n, dtype=np.float32))
+    def _layers(self, config, h, w, c):
+        d, n = h * w * c, config.hidden_size
         cell_cls = self._CELLS[config.kind]
-        self.cells = [
-            self.add_module(cell_cls(f"cell{i}", n, n)) for i in range(config.hidden_layers)
+        return [
+            Reshape("fold", (d,)),
+            Dense("in_proj", d, n),
+            Reshape("unfold", (config.window, n)),
+            Recurrence("recurrence", [cell_cls(f"cell{i}", n, n)
+                                      for i in range(config.hidden_layers)]),
+            Dense("out_proj", n, d),
+            Reshape("unflatten", (h, w, c)),
         ]
-        for cell in self.cells:
-            cell.init_params(rng, slope)
-        self.out_proj = self.add_module(Module("out_proj"))
-        self.out_proj._register("w", he_normal((n, d), n, slope, rng))
-        self.out_proj._register("b", np.zeros(d, dtype=np.float32))
-
-    def forward(self, x, train=True):
-        self._check_input(x)
-        b, k = x.shape[:2]
-        flat = x.reshape(b, k, -1)
-        states = [cell.init_state(b, dtype=x.dtype) for cell in self.cells]
-        self._in_caches, self._cell_caches = [], [[] for _ in self.cells]
-        z = None
-        for t in range(k):
-            z, c = F.dense_forward(flat[:, t], self.in_proj.params["w"], self.in_proj.params["b"])
-            self._in_caches.append(c)
-            for layer, cell in enumerate(self.cells):
-                z, states[layer], cache = cell.step(z, states[layer])
-                self._cell_caches[layer].append(cache)
-        out, self._out_cache = F.dense_forward(
-            z, self.out_proj.params["w"], self.out_proj.params["b"]
-        )
-        self._x_shape = x.shape
-        return self._activate(out.reshape(b, *self.latent_shape))
-
-    def backward(self, dpred):
-        dpred = self._deactivate(dpred)
-        b = dpred.shape[0]
-        k = self.config.window
-        dout = dpred.reshape(b, -1)
-        dh_top, dw, db = F.dense_backward(dout, self._out_cache, self.out_proj.params["w"])
-        self.out_proj.grads["w"] += dw
-        self.out_proj.grads["b"] += db
-        zero = np.zeros_like(dh_top)
-        dstates = [None] * len(self.cells)
-        dx = np.zeros(self._x_shape, dtype=dpred.dtype)
-        for t in reversed(range(k)):
-            dh = dh_top if t == k - 1 else zero
-            for layer in reversed(range(len(self.cells))):
-                dh, dstates[layer] = self.cells[layer].backstep(
-                    self._cell_caches[layer][t], dh, dstates[layer]
-                )
-            dz, dw, db = F.dense_backward(dh, self._in_caches[t], self.in_proj.params["w"])
-            self.in_proj.grads["w"] += dw
-            self.in_proj.grads["b"] += db
-            dx[:, t] = dz.reshape(b, *self.latent_shape)
-        return dx
 
 
 class ConvLSTMPredictor(SeqPredictor):
     """Stacked ConvLSTM cells (3x3 kernels, hidden maps shaped like the
     input) with a 1x1 convolution head on the last hidden map."""
 
-    def __init__(self, config, latent_shape, seed):
-        super().__init__(config, latent_shape, seed)
-        rng = np.random.default_rng(seed)
-        slope = config.leaky_slope
-        c = latent_shape[2]
+    def _layers(self, config, h, w, c):
         ch = config.hidden_size
-        self.cells = []
-        cin = c
-        for i in range(config.hidden_layers):
-            cell = self.add_module(ConvLSTMCell(f"cell{i}", cin, ch, kernel=3))
-            cell.init_params(rng, slope)
-            self.cells.append(cell)
-            cin = ch
-        self.head = self.add_module(Module("head"))
-        self.head._register("w", he_normal((1, 1, ch, c), ch, slope, rng))
-        self.head._register("b", np.zeros(c, dtype=np.float32))
-
-    def forward(self, x, train=True):
-        self._check_input(x)
-        b, k = x.shape[:2]
-        spatial = self.latent_shape[:2]
-        states = [cell.init_state(b, dtype=x.dtype, spatial=spatial) for cell in self.cells]
-        self._cell_caches = [[] for _ in self.cells]
-        z = None
-        for t in range(k):
-            z = x[:, t]
-            for layer, cell in enumerate(self.cells):
-                z, states[layer], cache = cell.step(z, states[layer])
-                self._cell_caches[layer].append(cache)
-        out, self._head_cache = F.conv2d_forward(
-            z, self.head.params["w"], self.head.params["b"], stride=1, padding=0
-        )
-        self._x_shape = x.shape
-        return self._activate(out)
-
-    def backward(self, dpred):
-        dpred = self._deactivate(dpred)
-        k = self.config.window
-        dh_top, dw, db = F.conv2d_backward(dpred, self._head_cache, self.head.params["w"])
-        self.head.grads["w"] += dw
-        self.head.grads["b"] += db
-        zero = np.zeros_like(dh_top)
-        dstates = [None] * len(self.cells)
-        dx = np.zeros(self._x_shape, dtype=dpred.dtype)
-        for t in reversed(range(k)):
-            dh = dh_top if t == k - 1 else zero
-            for layer in reversed(range(len(self.cells))):
-                dh, dstates[layer] = self.cells[layer].backstep(
-                    self._cell_caches[layer][t], dh, dstates[layer]
-                )
-            dx[:, t] = dh
-        return dx
+        cells = [ConvLSTMCell(f"cell{i}", c if i == 0 else ch, ch, kernel=3)
+                 for i in range(config.hidden_layers)]
+        return [Recurrence("recurrence", cells), Conv2D("head", ch, c, kernel=1, stride=1, padding=0)]
 
 
 class CNN3DPredictor(SeqPredictor):
@@ -274,106 +179,30 @@ class CNN3DPredictor(SeqPredictor):
     first is 3x3x3 (valid over depth), the second spans whatever depth
     remains; leaky ReLU sits between."""
 
-    def __init__(self, config, latent_shape, seed):
-        super().__init__(config, latent_shape, seed)
-        rng = np.random.default_rng(seed)
-        slope = config.leaky_slope
-        c = latent_shape[2]
+    def _layers(self, config, h, w, c):
         ch = config.hidden_size
-        k = config.window
-        depth_after = k - 3 + 1
-        self.conv1 = self.add_module(Module("blk0_conv"))
-        self.conv1._register("w", he_normal((3, 3, 3, c, ch), 27 * c, slope, rng))
-        self.conv1._register("b", np.zeros(ch, dtype=np.float32))
-        self.conv2 = self.add_module(Module("blk1_conv"))
-        self.conv2._register(
-            "w", he_normal((depth_after, 3, 3, ch, c), depth_after * 9 * ch, slope, rng)
-        )
-        self.conv2._register("b", np.zeros(c, dtype=np.float32))
-        self.slope = slope
-
-    def forward(self, x, train=True):
-        self._check_input(x)
-        y1, self._c1 = F.conv3d_forward(
-            x, self.conv1.params["w"], self.conv1.params["b"], padding=(0, 1, 1)
-        )
-        a, self._ac = F.leaky_relu_forward(y1, self.slope)
-        y2, self._c2 = F.conv3d_forward(
-            a, self.conv2.params["w"], self.conv2.params["b"], padding=(0, 1, 1)
-        )
-        return self._activate(y2[:, 0])
-
-    def backward(self, dpred):
-        dpred = self._deactivate(dpred)[:, None]
-        da, dw2, db2 = F.conv3d_backward(dpred, self._c2, self.conv2.params["w"])
-        self.conv2.grads["w"] += dw2
-        self.conv2.grads["b"] += db2
-        dy1 = F.leaky_relu_backward(da, self._ac, self.slope)
-        dx, dw1, db1 = F.conv3d_backward(dy1, self._c1, self.conv1.params["w"])
-        self.conv1.grads["w"] += dw1
-        self.conv1.grads["b"] += db1
-        return dx
+        return [
+            Conv3D("blk0_conv", c, ch, kernel=(3, 3, 3), padding=(0, 1, 1)),
+            LeakyReLU("blk0_act", config.leaky_slope),
+            Conv3D("blk1_conv", ch, c, kernel=(config.window - 2, 3, 3), padding=(0, 1, 1)),
+            Reshape("squeeze", (h, w, c)),
+        ]
 
 
 class CRNNPredictor(SeqPredictor):
-    """Shared 3x3 conv feature extractor per timestep feeding a
+    """Shared 3x3 conv feature extractor on every frame feeding a
     convolutional Elman recurrence, then a 1x1 head."""
 
-    def __init__(self, config, latent_shape, seed):
-        super().__init__(config, latent_shape, seed)
-        rng = np.random.default_rng(seed)
-        slope = config.leaky_slope
-        c = latent_shape[2]
+    def _layers(self, config, h, w, c):
         ch = config.hidden_size
-        self.feat = self.add_module(Module("feat_conv"))
-        self.feat._register("w", he_normal((3, 3, c, ch), 9 * c, slope, rng))
-        self.feat._register("b", np.zeros(ch, dtype=np.float32))
-        self.cell = self.add_module(ConvElmanCell("rec", ch, ch, kernel=3))
-        self.cell.init_params(rng, slope)
-        self.head = self.add_module(Module("head"))
-        self.head._register("w", he_normal((1, 1, ch, c), ch, slope, rng))
-        self.head._register("b", np.zeros(c, dtype=np.float32))
-        self.slope = slope
-
-    def forward(self, x, train=True):
-        self._check_input(x)
-        b, k = x.shape[:2]
-        state = self.cell.init_state(b, dtype=x.dtype, spatial=self.latent_shape[:2])
-        self._feat_caches, self._act_caches, self._cell_caches = [], [], []
-        h = None
-        for t in range(k):
-            f, fc = F.conv2d_forward(
-                x[:, t], self.feat.params["w"], self.feat.params["b"], stride=1, padding=1
-            )
-            a, ac = F.leaky_relu_forward(f, self.slope)
-            h, state, cc = self.cell.step(a, state)
-            self._feat_caches.append(fc)
-            self._act_caches.append(ac)
-            self._cell_caches.append(cc)
-        out, self._head_cache = F.conv2d_forward(
-            h, self.head.params["w"], self.head.params["b"], stride=1, padding=0
-        )
-        self._x_shape = x.shape
-        return self._activate(out)
-
-    def backward(self, dpred):
-        dpred = self._deactivate(dpred)
-        k = self.config.window
-        dh_last, dw, db = F.conv2d_backward(dpred, self._head_cache, self.head.params["w"])
-        self.head.grads["w"] += dw
-        self.head.grads["b"] += db
-        zero = np.zeros_like(dh_last)
-        dstate = None
-        dx = np.zeros(self._x_shape, dtype=dpred.dtype)
-        for t in reversed(range(k)):
-            dh = dh_last if t == k - 1 else zero
-            da, dstate = self.cell.backstep(self._cell_caches[t], dh, dstate)
-            df = F.leaky_relu_backward(da, self._act_caches[t], self.slope)
-            dxt, dwf, dbf = F.conv2d_backward(df, self._feat_caches[t], self.feat.params["w"])
-            self.feat.grads["w"] += dwf
-            self.feat.grads["b"] += dbf
-            dx[:, t] = dxt
-        return dx
+        return [
+            Reshape("fold", (h, w, c)),
+            Conv2D("feat_conv", c, ch, kernel=3, stride=1, padding=1),
+            LeakyReLU("feat_act", config.leaky_slope),
+            Reshape("unfold", (config.window, h, w, ch)),
+            Recurrence("recurrence", [ConvElmanCell("rec", ch, ch, kernel=3)]),
+            Conv2D("head", ch, c, kernel=1, stride=1, padding=0),
+        ]
 
 
 _PREDICTORS = {
@@ -396,15 +225,9 @@ def build_seq_model(
 
 def predict_next(model: SeqPredictor, inputs: np.ndarray, batch_size: int = 64) -> np.ndarray:
     """Eval-mode prediction; accepts one window (k, h, w, c) or a batch."""
-    single = inputs.ndim == 4
-    if single:
-        inputs = inputs[None]
-    parts = [
-        model.forward(inputs[i : i + batch_size], train=False)
-        for i in range(0, len(inputs), batch_size)
-    ]
-    out = np.concatenate(parts)
-    return out[0] if single else out
+    if inputs.ndim == 4:
+        return predict_batched(model, inputs[None], batch_size)[0]
+    return predict_batched(model, inputs, batch_size)
 
 
 def train_seq_model(

@@ -160,6 +160,44 @@ class TestTrainFlow:
         assert rows[0]["fold_mean"] <= rows[1]["fold_mean"]
 
 
+class TestBadInputs:
+    @pytest.fixture()
+    def latents_file(self, tmp_path):
+        path = tmp_path / "lat.npy"
+        lat = np.random.default_rng(0).normal(size=(4, 6, 2, 2, 2)).astype(np.float32)
+        write_array_file(path, lat)
+        return path
+
+    @staticmethod
+    def split_with_unknown_id(tmp_path, known):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"train_ids": [known, "no-such-seq"], "val_ids": [],
+                                    "test_ids": [], "seed": 0}))
+        return path
+
+    def test_train_ae_unknown_split_id_is_data_error(self, tmp_path, dataset_file):
+        known = VideoDataset.load(dataset_file).ids[0]
+        split = self.split_with_unknown_id(tmp_path, known)
+        assert main(["train-ae", "--dataset", str(dataset_file), "--dims", "4,8",
+                     "--epochs", "1", "--split", str(split), "--out", str(tmp_path / "ae")]) == 2
+
+    def test_train_seq_unknown_split_id_is_data_error(self, tmp_path, latents_file):
+        split = self.split_with_unknown_id(tmp_path, "seq00000")
+        assert main(["train-seq", "--latents", str(latents_file), "--kind", "cnn3d",
+                     "--hidden", "4", "--window", "3", "--epochs", "1", "--split", str(split),
+                     "--out", str(tmp_path / "seq")]) == 2
+
+    def test_bench_refuses_checkpoint_missing_a_parameter(self, tmp_path, latents_file):
+        ckpt = tmp_path / "seq"
+        assert main(["train-seq", "--latents", str(latents_file), "--kind", "cnn3d",
+                     "--hidden", "4", "--window", "3", "--epochs", "1", "--out", str(ckpt)]) == 0
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        del manifest["params"]["blk1_conv.b"]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["bench", "--ckpt", str(ckpt), "--latents", str(latents_file),
+                     "--iters", "2", "--warmup", "1"]) == 2
+
+
 class TestEvaluateReport:
     def test_evaluate_and_report(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentcast.errors import NonFiniteGradientError, ShapeError
+from latentcast.errors import CheckpointError, NonFiniteGradientError, ShapeError
 from latentcast.nn import (
     Adam,
     BatchNorm,
@@ -16,7 +18,6 @@ from latentcast.nn import (
     Sequential,
     Sigmoid,
     he_normal,
-    layer_from_spec,
     load_checkpoint,
     loss,
     loss_with_grad,
@@ -75,11 +76,6 @@ class TestShapeLaw:
         layer = LeakyReLU("a", 0.2)
         y = layer.forward(np.array([-1.0, 1.0], dtype=np.float32))
         np.testing.assert_allclose(y, [-0.2, 1.0])
-
-    def test_layer_spec_round_trip(self):
-        layer = Conv2D("c", 3, 8, kernel=3, stride=2, padding=1)
-        clone = layer_from_spec(layer.spec())
-        assert clone.spec() == layer.spec()
 
 
 class TestLosses:
@@ -249,6 +245,31 @@ class TestDeterminismAndCheckpoints:
         y1 = model.forward(x, train=False)
         y2 = loaded.forward(x, train=False)
         np.testing.assert_array_equal(y1, y2)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda m: m["params"].pop("e0.b"), "missing"),
+            (lambda m: m["buffers"].pop("e0n.running_var"), "missing"),
+            (lambda m: m["params"].update({"ghost.w": m["params"]["e0.w"]}), "unknown"),
+            (lambda m: m["params"].update({"e0.w": m["params"]["e0.b"]}), "shape"),
+            (lambda m: m["buffers"].update({"e0n.running_var": m["params"]["e0.w"]}), "shape"),
+        ],
+        ids=["missing-param", "missing-buffer", "unknown-param", "param-shape", "buffer-shape"],
+    )
+    def test_load_refuses_manifest_that_differs_from_model(self, tmp_path, corrupt, message):
+        from latentcast.nn.network import register_model_kind
+
+        register_model_kind("__tiny3__", lambda spec: tiny_ae_like(seed=2))
+        model = tiny_ae_like(seed=2)
+        model.spec = lambda: {"model_kind": "__tiny3__"}
+        save_checkpoint(tmp_path / "ckpt", model)
+        path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        corrupt(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(tmp_path / "ckpt")
 
     def test_resume_training_bitwise(self, tmp_path):
         from latentcast.nn.network import register_model_kind

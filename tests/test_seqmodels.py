@@ -129,6 +129,53 @@ class TestPredictors:
         projection = (d * n + n) + (n * d + d)
         assert model.param_count() == gru_params + projection
 
+    # names and shapes of build_seq_model(cfg, (4, 4, 2), seed=0).params() with
+    # hidden size 5, two hidden layers where the kind takes them and window 4:
+    # checkpoints store exactly these arrays
+    PARAM_TABLE = {
+        "rnn": {
+            "in_proj.w": (32, 5), "in_proj.b": (5,),
+            "cell0.wx": (5, 5), "cell0.wh": (5, 5), "cell0.b": (5,),
+            "cell1.wx": (5, 5), "cell1.wh": (5, 5), "cell1.b": (5,),
+            "out_proj.w": (5, 32), "out_proj.b": (32,),
+        },
+        "lstm": {
+            "in_proj.w": (32, 5), "in_proj.b": (5,),
+            "cell0.wx": (5, 20), "cell0.wh": (5, 20), "cell0.b": (20,),
+            "cell1.wx": (5, 20), "cell1.wh": (5, 20), "cell1.b": (20,),
+            "out_proj.w": (5, 32), "out_proj.b": (32,),
+        },
+        "gru": {
+            "in_proj.w": (32, 5), "in_proj.b": (5,),
+            "cell0.wx": (5, 15), "cell0.wh": (5, 15), "cell0.b": (15,),
+            "cell1.wx": (5, 15), "cell1.wh": (5, 15), "cell1.b": (15,),
+            "out_proj.w": (5, 32), "out_proj.b": (32,),
+        },
+        "cnn3d": {
+            "blk0_conv.w": (3, 3, 3, 2, 5), "blk0_conv.b": (5,),
+            "blk1_conv.w": (2, 3, 3, 5, 2), "blk1_conv.b": (2,),
+        },
+        "convlstm": {
+            "cell0.w": (3, 3, 7, 20), "cell0.b": (20,),
+            "cell1.w": (3, 3, 10, 20), "cell1.b": (20,),
+            "head.w": (1, 1, 5, 2), "head.b": (2,),
+        },
+        "crnn": {
+            "feat_conv.w": (3, 3, 2, 5), "feat_conv.b": (5,),
+            "rec.w": (3, 3, 10, 5), "rec.b": (5,),
+            "head.w": (1, 1, 5, 2), "head.b": (2,),
+        },
+    }
+
+    @pytest.mark.parametrize("kind", list(SeqModelKind))
+    @pytest.mark.parametrize("activation", ["linear", "sigmoid"])
+    def test_checkpoint_parameter_table(self, kind, activation):
+        cfg = SeqModelConfig(kind=kind, hidden_size=5, window=4, output_activation=activation,
+                             hidden_layers=2 if kind in LAYERED_KINDS else None)
+        params = build_seq_model(cfg, (4, 4, 2), seed=0).params()
+        assert list(params) == list(self.PARAM_TABLE[kind.value])
+        assert {k: v.shape for k, v in params.items()} == self.PARAM_TABLE[kind.value]
+
     def test_sigmoid_head_bounds_output(self):
         cfg = config_for(SeqModelKind.CONVLSTM, output_activation="sigmoid")
         model = build_seq_model(cfg, LATENT, seed=0)
