@@ -163,8 +163,19 @@ class DatasetSplit:
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetSplit":
-        d = json.loads(text)
-        return cls(d["train_ids"], d["val_ids"], d["test_ids"], d["seed"])
+        """Parse ``to_json`` output; malformed JSON or a missing key is a
+        ``DataError``."""
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"split file is not valid JSON: {exc}") from exc
+        if not isinstance(d, dict):
+            raise DataError(f"split file must hold a JSON object, got {type(d).__name__}")
+        keys = ("train_ids", "val_ids", "test_ids", "seed")
+        missing = [k for k in keys if k not in d]
+        if missing:
+            raise DataError(f"split file lacks key(s) {', '.join(missing)}")
+        return cls(*(d[k] for k in keys))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,12 @@ and the four-interval score breakdown.
 SSIM follows the Wang et al. 2004 reference: sliding 11x11 Gaussian window
 (sigma 1.5), C1 = (0.01 L)^2, C2 = (0.03 L)^2, C3 = C2 / 2, unit exponents.
 Color frames score as the mean of per-channel SSIM.
+
+The Gaussian window is separable (the outer product of one normalized 1-D
+Gaussian with itself), so the windowed moments are two 1-D valid-mode
+passes, each one matrix product with a banded matrix, batched over every
+frame and channel of a stack at once. ``score_frames`` scores a whole stack
+in one such call; ``ssim`` is the same code on a stack of one.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateRangeError, DegenerateStatsError, ShapeError, WindowError
 
@@ -109,29 +114,47 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
+def _gaussian(side: int, sigma: float) -> np.ndarray:
+    """Unnormalized 1-D Gaussian taps centred on the middle of ``side``."""
+    coords = np.arange(side, dtype=np.float64) - side // 2
+    return np.exp(-(coords**2) / (2.0 * sigma * sigma))
+
+
 def gaussian_window(side: int, sigma: float) -> np.ndarray:
     """Normalized 2-D Gaussian weights."""
-    half = side // 2
-    coords = np.arange(side, dtype=np.float64) - half
-    g = np.exp(-(coords**2) / (2.0 * sigma * sigma))
+    g = _gaussian(side, sigma)
     w = np.outer(g, g)
     return w / w.sum()
 
 
-def _ssim_single(x: np.ndarray, y: np.ndarray, params: SSIMParams) -> float:
+def _band(g: np.ndarray, n: int) -> np.ndarray:
+    """(n - len(g) + 1, n) matrix whose product with a length-n signal is the
+    valid-mode correlation with ``g``."""
+    out = np.zeros((n - g.size + 1, n))
+    for i in range(out.shape[0]):
+        out[i, i : i + g.size] = g
+    return out
+
+
+def _ssim_stack(x: np.ndarray, y: np.ndarray, params: SSIMParams) -> np.ndarray:
+    """Per-frame SSIM of two float64 (N, H, W, C) stacks: the mean of each
+    frame's score map over its positions and channels."""
+    n, h, wd, c = x.shape
     side = params.window_side
-    if x.shape[0] < side or x.shape[1] < side:
-        raise WindowError(
-            f"frame {x.shape[0]}x{x.shape[1]} smaller than the {side}x{side} SSIM window"
-        )
-    w = gaussian_window(side, params.window_sigma)
-    xv = sliding_window_view(x, (side, side))
-    yv = sliding_window_view(y, (side, side))
-    mu_x = np.einsum("hwij,ij->hw", xv, w, optimize=True)
-    mu_y = np.einsum("hwij,ij->hw", yv, w, optimize=True)
-    xx = np.einsum("hwij,ij->hw", xv * xv, w, optimize=True)
-    yy = np.einsum("hwij,ij->hw", yv * yv, w, optimize=True)
-    xy = np.einsum("hwij,ij->hw", xv * yv, w, optimize=True)
+    if h < side or wd < side:
+        raise WindowError(f"frame {h}x{wd} smaller than the {side}x{side} SSIM window")
+    g = _gaussian(side, params.window_sigma)
+    g /= g.sum()
+    rows, cols = _band(g, h), _band(g, wd).T
+    # (N, C, H, W) planes: the column pass is one matrix product over all of them
+    x = x.transpose(0, 3, 1, 2)
+    y = y.transpose(0, 3, 1, 2)
+
+    def window_mean(a):
+        return rows @ (a.reshape(-1, wd) @ cols).reshape(n, c, h, -1)
+
+    mu_x, mu_y = window_mean(x), window_mean(y)
+    xx, yy, xy = window_mean(x * x), window_mean(y * y), window_mean(x * y)
     var_x = np.maximum(xx - mu_x * mu_x, 0.0)
     var_y = np.maximum(yy - mu_y * mu_y, 0.0)
     cov = xy - mu_x * mu_y
@@ -152,7 +175,18 @@ def _ssim_single(x: np.ndarray, y: np.ndarray, params: SSIMParams) -> float:
             * np.abs(con) ** params.beta
             * np.sign(stru) * np.abs(stru) ** params.gamma
         )
-    return float(score_map.mean())
+    return score_map.mean(axis=(1, 2, 3))
+
+
+def _with_channels(a: np.ndarray, lead: int) -> np.ndarray:
+    """float64 copy or view of ``a`` with ``lead`` leading axes followed by
+    (H, W, C); an (H, W) frame gets a channel axis."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim == lead + 3:
+        return a
+    if a.ndim == lead + 2:
+        return a[..., None]
+    raise ShapeError(f"ssim expects (H, W) or (H, W, C) frames, got shape {a.shape}")
 
 
 def ssim(x: np.ndarray, y: np.ndarray, params: SSIMParams | None = None) -> float:
@@ -162,16 +196,8 @@ def ssim(x: np.ndarray, y: np.ndarray, params: SSIMParams | None = None) -> floa
     per-channel SSIM.
     """
     _check_shapes(x, y)
-    params = params or SSIMParams()
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim == 2:
-        return _ssim_single(x, y, params)
-    if x.ndim == 3:
-        return float(
-            np.mean([_ssim_single(x[..., c], y[..., c], params) for c in range(x.shape[2])])
-        )
-    raise ShapeError(f"ssim expects (H, W) or (H, W, C), got shape {x.shape}")
+    x, y = _with_channels(x, 0)[None], _with_channels(y, 0)[None]
+    return float(_ssim_stack(x, y, params or SSIMParams())[0])
 
 
 def latent_stats(activations: np.ndarray) -> LatentStats:
@@ -247,7 +273,9 @@ def score_frames(
 ) -> MetricReport:
     """MAE/MSE/per-frame SSIM (plus intervals) for matched (N, H, W, C) stacks."""
     _check_shapes(pred, truth)
-    scores = [ssim(pred[i], truth[i], params) for i in range(pred.shape[0])]
+    scores = _ssim_stack(
+        _with_channels(pred, 1), _with_channels(truth, 1), params or SSIMParams()
+    ).tolist()
     intervals = None
     if with_intervals and len(scores) >= 2 and len(set(scores)) >= 2:
         intervals = bucketize_intervals(scores)

@@ -170,36 +170,51 @@ def dense_backward(dy, cache, w):
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, momentum, eps, train):
     """Per-channel (last axis) normalization. Running buffers are updated in
-    place in train mode and consumed in eval mode."""
+    place in train mode and consumed in eval mode.
+
+    Train mode centres ``x`` once and normalizes the centred copy in place;
+    the cache holds ``xhat``. Eval mode is one affine map and caches the
+    input itself, from which backward rebuilds ``xhat``."""
     axes = tuple(range(x.ndim - 1))
-    if train:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mean
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
-    else:
-        mean, var = running_mean, running_var
+    if not train:
+        inv = 1.0 / np.sqrt(running_var + eps)
+        scale = gamma * inv
+        y = x * scale
+        y += beta - running_mean * scale
+        return y, (x, running_mean.copy(), inv, axes, False)
+    count = x.size // x.shape[-1]
+    mean = x.mean(axis=axes)
+    xhat = x - mean
+    flat = xhat.reshape(count, -1)
+    var = np.einsum("ij,ij->j", flat, flat) / count
+    running_mean *= momentum
+    running_mean += (1.0 - momentum) * mean
+    running_var *= momentum
+    running_var += (1.0 - momentum) * var
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    y = gamma * xhat + beta
-    return y, (xhat, inv, axes, train)
+    xhat *= inv
+    y = xhat * gamma
+    y += beta
+    return y, (xhat, None, inv, axes, True)
 
 
 def batchnorm_backward(dy, cache, gamma):
-    xhat, inv, axes, train = cache
-    dgamma = (dy * xhat).sum(axis=axes)
+    """Closed-form input gradient (Ioffe & Szegedy 2015):
+    dx = gamma*inv*(dy - dbeta/count - xhat*dgamma/count) in train mode,
+    dy*gamma*inv in eval mode, where the running statistics are constants."""
+    src, mean, inv, axes, train = cache
+    xhat = src if train else (src - mean) * inv
+    c = xhat.shape[-1]
+    count = xhat.size // c
     dbeta = dy.sum(axis=axes)
-    dxhat = dy * gamma
+    dgamma = np.einsum("ij,ij->j", dy.reshape(count, c), xhat.reshape(count, c))
+    scale = gamma * inv
     if not train:
-        return dxhat * inv, dgamma, dbeta
-    count = xhat.size // xhat.shape[-1]
-    dx = (
-        inv
-        / count
-        * (count * dxhat - dxhat.sum(axis=axes) - xhat * (dxhat * xhat).sum(axis=axes))
-    )
+        return dy * scale, dgamma, dbeta
+    dx = xhat * (dgamma / -count)
+    dx += dy
+    dx -= dbeta / count
+    dx *= scale
     return dx, dgamma, dbeta
 
 
@@ -207,20 +222,29 @@ def batchnorm_backward(dy, cache, gamma):
 
 
 def leaky_relu_forward(x, slope):
-    return np.where(x > 0, x, slope * x), x
+    """max(x, slope*x), which is leaky ReLU for 0 <= slope <= 1."""
+    return np.maximum(x, slope * x), x
 
 
 def leaky_relu_backward(dy, cache, slope):
     x = cache
-    return np.where(x > 0, dy, slope * dy)
+    # k is 1 where x > 0 and slope elsewhere; (1 - s) + s rounds to exactly 1
+    # in the array's own precision, so dy * k equals where(x > 0, dy, s*dy)
+    s = dy.dtype.type(slope)
+    k = (x > 0).astype(dy.dtype)
+    k *= dy.dtype.type(1) - s
+    k += s
+    k *= dy
+    return k
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """0.5*tanh(0.5*x) + 0.5: the logistic function without overflow, in
+    [0, 1] for every finite input."""
+    out = np.multiply(x, 0.5)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
     return out
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ConfigError, ShapeError
 from . import functional as F
 from .init import he_normal
 
@@ -164,6 +164,8 @@ class BatchNorm(Layer):
 class LeakyReLU(Layer):
     def __init__(self, name, slope=0.01):
         super().__init__(name)
+        if not 0.0 <= slope <= 1.0:  # the max(x, slope*x) kernel needs it
+            raise ConfigError(f"layer {name!r}: leaky slope must be in [0, 1], got {slope}")
         self.slope = slope
         self._cache = None
 

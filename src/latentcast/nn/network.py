@@ -3,12 +3,16 @@
 A checkpoint is a directory: one ``.npy`` file per parameter, buffer and
 optimizer slot, plus ``manifest.json`` tying names to files along with the
 model spec, optimizer config, step count and RNG state, so training resumes
-bitwise-identically.
+bitwise-identically. It is written into a sibling temporary directory and
+renamed into place, so a write that fails leaves any previous checkpoint at
+the path as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from pathlib import Path
 from typing import Callable
 
@@ -157,8 +161,35 @@ def save_checkpoint(
     rng_state: dict | None = None,
     extra: dict | None = None,
 ) -> Path:
+    """Write a checkpoint directory at ``path``, replacing a checkpoint or
+    an empty directory already there; anything else at ``path`` is refused."""
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    if path.exists() and not (
+        path.is_dir() and ((path / MANIFEST_NAME).exists() or not any(path.iterdir()))
+    ):
+        raise CheckpointError(f"{path} exists and is not a checkpoint directory")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    tmp.mkdir()
+    try:
+        _write_checkpoint(tmp, model, optimizer, rng_state, extra)
+        if path.exists():
+            old = tmp.with_suffix(".old")
+            path.rename(old)
+            try:
+                tmp.rename(path)
+            except OSError:
+                old.rename(path)
+                raise
+            shutil.rmtree(old)
+        else:
+            tmp.rename(path)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return path
+
+
+def _write_checkpoint(path: Path, model, optimizer, rng_state, extra) -> None:
     params = model.params()
     buffers = model.buffers()
     for name, arr in {**params, **buffers}.items():
@@ -184,7 +215,6 @@ def save_checkpoint(
     if rng_state is not None:
         manifest["rng_state"] = rng_state
     (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, default=str))
-    return path
 
 
 def _read_array(path: Path) -> np.ndarray:

@@ -187,6 +187,23 @@ class TestBadInputs:
                      "--hidden", "4", "--window", "3", "--epochs", "1", "--split", str(split),
                      "--out", str(tmp_path / "seq")]) == 2
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [(json.dumps({"train_ids": ["seq00000"], "val_ids": [], "test_ids": []}), "seed"),
+         ("{not json", "JSON")],
+        ids=["missing-seed", "invalid-json"],
+    )
+    def test_malformed_split_file_is_data_error(self, tmp_path, dataset_file, latents_file,
+                                                 text, named, capsys):
+        split = tmp_path / "split.json"
+        split.write_text(text)
+        assert main(["train-ae", "--dataset", str(dataset_file), "--dims", "4,8",
+                     "--epochs", "1", "--split", str(split), "--out", str(tmp_path / "ae")]) == 2
+        assert main(["train-seq", "--latents", str(latents_file), "--kind", "cnn3d",
+                     "--hidden", "4", "--window", "3", "--epochs", "1", "--split", str(split),
+                     "--out", str(tmp_path / "seq")]) == 2
+        assert capsys.readouterr().err.count(named) == 2
+
     def test_bench_refuses_checkpoint_missing_a_parameter(self, tmp_path, latents_file):
         ckpt = tmp_path / "seq"
         assert main(["train-seq", "--latents", str(latents_file), "--kind", "cnn3d",

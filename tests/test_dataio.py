@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from latentcast.dataio import (
     write_array_file,
 )
 from latentcast.errors import (
+    DataError,
     FormatError,
     GapError,
     InconsistentSequenceError,
@@ -225,6 +228,13 @@ class TestSplit:
         split = split_sequences([f"s{i}" for i in range(20)], 0.2, 0.1, seed=3)
         again = DatasetSplit.from_json(split.to_json())
         assert again == split
+
+    def test_split_json_missing_key_is_data_error(self):
+        text = json.dumps({"train_ids": ["a"], "val_ids": [], "test_ids": []})
+        with pytest.raises(DataError, match="seed"):
+            DatasetSplit.from_json(text)
+        with pytest.raises(DataError, match="JSON"):
+            DatasetSplit.from_json("[1, 2")
 
 
 class TestVideoDataset:

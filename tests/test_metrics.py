@@ -189,3 +189,26 @@ class TestScoreFrames:
         assert report.mae > 0 and report.mse > 0
         assert isinstance(report.intervals, IntervalReport)
         assert report.to_dict()["ssim_mean"] == report.ssim_mean
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_batched_ssim_matches_per_frame_and_bruteforce(self, channels):
+        rng = np.random.default_rng(channels)
+        truth = rng.random((3, 14, 17, channels)).astype(np.float32)
+        pred = np.clip(truth + rng.normal(0, 0.2, truth.shape), 0, 1).astype(np.float32)
+        scores = score_frames(pred, truth).ssim_scores
+        per_frame = [ssim(pred[i], truth[i]) for i in range(len(pred))]
+        np.testing.assert_allclose(scores, per_frame, rtol=0, atol=1e-12)
+        params = SSIMParams()
+        brute = [
+            np.mean([ssim_bruteforce(pred[i, ..., c], truth[i, ..., c], params)
+                     for c in range(channels)])
+            for i in range(len(pred))
+        ]
+        np.testing.assert_allclose(scores, brute, rtol=0, atol=1e-6)
+
+    def test_stack_without_channel_axis(self):
+        rng = np.random.default_rng(4)
+        truth = rng.random((2, 12, 12))
+        pred = rng.random((2, 12, 12))
+        with_axis = score_frames(pred[..., None], truth[..., None]).ssim_scores
+        assert score_frames(pred, truth).ssim_scores == with_axis

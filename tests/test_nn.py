@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentcast.errors import CheckpointError, NonFiniteGradientError, ShapeError
+from latentcast.errors import CheckpointError, ConfigError, NonFiniteGradientError, ShapeError
 from latentcast.nn import (
     Adam,
     BatchNorm,
@@ -76,6 +76,19 @@ class TestShapeLaw:
         layer = LeakyReLU("a", 0.2)
         y = layer.forward(np.array([-1.0, 1.0], dtype=np.float32))
         np.testing.assert_allclose(y, [-0.2, 1.0])
+
+    @pytest.mark.parametrize("slope", [-0.01, 1.5, float("nan")])
+    def test_leaky_slope_outside_unit_interval_rejected(self, slope):
+        from latentcast.autoencoder import AutoencoderConfig, build_autoencoder
+        from latentcast.seqmodels import SeqModelConfig, build_seq_model
+
+        with pytest.raises(ConfigError, match="slope"):
+            LeakyReLU("a", slope)
+        with pytest.raises(ConfigError, match="slope"):
+            build_autoencoder(AutoencoderConfig(dims=[4], input_size=8, leaky_slope=slope), 0)
+        config = SeqModelConfig(kind="crnn", hidden_size=4, window=3, leaky_slope=slope)
+        with pytest.raises(ConfigError, match="slope"):
+            build_seq_model(config, (4, 4, 2), 0)
 
 
 class TestLosses:
@@ -173,6 +186,76 @@ class TestOptimizers:
             Adam(0.0)
 
 
+def _old_adam_update(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The update with a temporary per operation, as first written."""
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    p -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.dtype, copy=False)
+
+
+def _old_rmsprop_update(p, g, s, lr, alpha=0.99, eps=1e-8):
+    s *= alpha
+    s += (1.0 - alpha) * g * g
+    p -= (lr * g / (np.sqrt(s) + eps)).astype(p.dtype, copy=False)
+
+
+class TestKernelEquivalence:
+    """The in-place kernels against the plain formulas they replace."""
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 1 / 3, 0.7, 1.0])
+    def test_leaky_relu_bitwise_equals_where(self, slope):
+        from latentcast.nn import functional as F
+
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4, 5, 5, 3)).astype(np.float32)
+        x.flat[:4] = [0.0, -0.0, 1e30, -1e30]
+        dy = rng.normal(size=x.shape).astype(np.float32)
+        dy.flat[4:8] = [0.0, -0.0, 1e30, -1e30]
+        y, cache = F.leaky_relu_forward(x, slope)
+        assert y.tobytes() == np.where(x > 0, x, slope * x).tobytes()
+        dx = F.leaky_relu_backward(dy, cache, slope)
+        assert dx.dtype == np.float32
+        assert dx.tobytes() == np.where(x > 0, dy, slope * dy).tobytes()
+
+    def test_sigmoid_range_and_accuracy(self):
+        from latentcast.nn import functional as F
+
+        x = np.concatenate([np.linspace(-100, 100, 20001), [-100.0, 100.0, 0.0]])
+        y = F.sigmoid(x.astype(np.float32))
+        assert y.dtype == np.float32
+        assert y.min() >= 0.0 and y.max() <= 1.0
+        assert y[-3] == 0.0 and y[-2] == 1.0 and y[-1] == 0.5
+        ref = 1.0 / (1.0 + np.exp(-x))
+        # absolute error within 2 float32 ulp of 1.0, the top of the range
+        assert np.abs(y - ref).max() <= 2 * np.finfo(np.float32).eps
+
+    @pytest.mark.parametrize("kind", ["adam", "rmsprop"])
+    def test_optimizer_bitwise_equals_plain_update(self, kind):
+        rng = np.random.default_rng(0)
+        shapes = {"w": (40, 30), "b": (30,), "k": (3, 3, 2, 4), "s": ()}
+        params = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        slots = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in ref.items()}
+        opt = make_optimizer(kind, 0.01)
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+            opt.step(params, grads)
+            for k, g in grads.items():
+                if kind == "adam":
+                    _old_adam_update(ref[k], g, *slots[k], t, 0.01)
+                else:
+                    _old_rmsprop_update(ref[k], g, slots[k][0], 0.01)
+        for k in shapes:
+            assert params[k].tobytes() == ref[k].tobytes()
+            first = opt.state[k]["m" if kind == "adam" else "sq"]
+            assert first.tobytes() == slots[k][0].tobytes()
+        assert all(set(s) <= {"m", "v", "sq"} for s in opt.state.values())
+
+
 class TestBatchNorm:
     def test_train_mode_moments(self):
         layer = BatchNorm("bn", 6)
@@ -183,6 +266,28 @@ class TestBatchNorm:
         var = y.var(axis=(0, 1, 2))
         assert np.abs(mean).max() < 1e-5
         assert np.abs(var - 1.0).max() < 1e-3
+
+    def test_eval_backward_gradients(self):
+        from latentcast.nn.gradcheck import finite_difference, max_relative_error
+
+        rng = np.random.default_rng(3)
+        layer = BatchNorm("bn", 3)
+        layer.init_params(rng, 0.0, dtype=np.float64)
+        layer.params["gamma"][:] = rng.normal(size=3)
+        layer.params["beta"][:] = rng.normal(size=3)
+        layer.running_mean[:] = rng.normal(size=3)
+        layer.running_var[:] = rng.uniform(0.5, 2.0, size=3)
+        x = rng.normal(size=(4, 3, 3, 3))
+        weights = rng.normal(size=x.shape)
+        layer.zero_grads()
+        layer.forward(x, train=False)
+        dx = layer.backward(weights)
+        analytic = {"x": dx, **{k: v.copy() for k, v in layer.grads.items()}}
+        numeric = finite_difference(
+            lambda: float((layer.forward(x, train=False) * weights).sum()),
+            {"x": x, **layer.params},
+        )
+        assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_eval_uses_running_stats(self):
         layer = BatchNorm("bn", 2)
@@ -245,6 +350,45 @@ class TestDeterminismAndCheckpoints:
         y1 = model.forward(x, train=False)
         y2 = loaded.forward(x, train=False)
         np.testing.assert_array_equal(y1, y2)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import latentcast.nn.network as network
+
+        network.register_model_kind("__tiny4__", lambda spec: tiny_ae_like(seed=2))
+        model = tiny_ae_like(seed=2)
+        model.spec = lambda: {"model_kind": "__tiny4__"}
+        save_checkpoint(tmp_path / "ckpt", model)
+        before = {k: v.copy() for k, v in model.params().items()}
+        for v in model.params().values():
+            v += 1.0
+        calls = []
+        real_write = network.write_array_file
+
+        def failing_write(path, arr):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_write(path, arr)
+
+        monkeypatch.setattr(network, "write_array_file", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tmp_path / "ckpt", model)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        loaded, _, _ = load_checkpoint(tmp_path / "ckpt")
+        for k, v in before.items():
+            np.testing.assert_array_equal(loaded.params()[k], v)
+        save_checkpoint(tmp_path / "ckpt", model)
+        loaded, _, _ = load_checkpoint(tmp_path / "ckpt")
+        for k, v in model.params().items():
+            np.testing.assert_array_equal(loaded.params()[k], v)
+
+    def test_save_refuses_a_directory_that_is_not_a_checkpoint(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "keep.txt").write_text("user file")
+        with pytest.raises(CheckpointError, match="not a checkpoint"):
+            save_checkpoint(tmp_path / "data", tiny_ae_like())
+        assert (tmp_path / "data" / "keep.txt").read_text() == "user file"
 
     @pytest.mark.parametrize(
         "corrupt, message",
