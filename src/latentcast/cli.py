@@ -36,7 +36,7 @@ from .experiment import (
     grid_search_seq,
     safe_latent_kl,
 )
-from .metrics import SSIMParams, bucketize_intervals, mae, mse, ssim
+from .metrics import bucketize_intervals, mae, mse, score_frames
 from .nn.network import load_checkpoint, save_checkpoint
 from .preprocess import PreprocessSpec, preprocess_dataset, stratified_subset, verify_continuity
 from .seqmodels import SeqModelConfig, SeqModelKind, build_seq_model, train_seq_model, window_dataset
@@ -388,14 +388,13 @@ def _cmd_evaluate(args) -> int:
     if pred.ndim == 3:
         pred, truth = pred[..., None], truth[..., None]
     doc: dict = {"n_frames": int(pred.shape[0])}
-    params = SSIMParams()
     if "mae" in wanted:
         doc["mae"] = mae(pred, truth)
     if "mse" in wanted:
         doc["mse"] = mse(pred, truth)
     scores = None
     if "ssim" in wanted or args.intervals:
-        scores = [ssim(pred[i], truth[i], params) for i in range(pred.shape[0])]
+        scores = score_frames(pred, truth, with_intervals=False).ssim_scores
         doc["ssim_mean"] = float(np.mean(scores))
         doc["ssim_scores"] = scores
     if "kl" in wanted:

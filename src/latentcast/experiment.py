@@ -9,7 +9,7 @@ import math
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +82,15 @@ def grid_enumerate(grid: dict[str, list], kind: SeqModelKind | None = None) -> l
     return [dict(zip(names, combo)) for combo in itertools.product(*(axes[n] for n in names))]
 
 
+def _map(fn, tasks: list, jobs: int) -> list:
+    """``fn`` over ``tasks`` in task order, in a pool of ``jobs`` processes
+    when ``jobs`` > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 @dataclass
 class FoldStats:
     losses: list[float]
@@ -144,12 +153,7 @@ def grid_search_seq(
     ascending by mean fold loss (the selection criterion)."""
     combos = grid_enumerate(grid, kind)
     tasks = [(values, kind, latents, k_folds, seed, schedule) for values in combos]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_seq_config, tasks))
-    else:
-        results = [_eval_seq_config(t) for t in tasks]
-    return sorted(results, key=lambda cs: cs[1].mean)
+    return sorted(_map(_eval_seq_config, tasks, jobs), key=lambda cs: cs[1].mean)
 
 
 def _eval_ae_config(args) -> tuple[dict, float]:
@@ -178,12 +182,7 @@ def grid_search_ae(
     comes from the data, the grid carries only the searched axes."""
     combos = grid_enumerate(grid)
     tasks = [(values, train_frames, val_frames, seed, schedule) for values in combos]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_ae_config, tasks))
-    else:
-        results = [_eval_ae_config(t) for t in tasks]
-    return sorted(results, key=lambda cs: cs[1])
+    return sorted(_map(_eval_ae_config, tasks, jobs), key=lambda cs: cs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +280,60 @@ def safe_latent_kl(latents: np.ndarray) -> tuple[float, int]:
     return kl_gauss(LatentStats(stats.mu[alive], stats.sigma[alive])), dropped
 
 
+def _partition(
+    dataset: VideoDataset,
+    test_fraction: float,
+    val_fraction: float,
+    seed: int,
+    split_seed: int | None,
+) -> tuple[DatasetSplit, IdTracker, VideoDataset, VideoDataset | None, VideoDataset]:
+    """Split by sequence (``split_seed``, else ``seed``); returns the split,
+    its test-id tracker and the train, validation (None when empty) and test
+    datasets."""
+    split = split_sequences(
+        dataset.ids, test_fraction, val_fraction, seed if split_seed is None else split_seed
+    )
+    val_ds = dataset.select(split.val_ids) if split.val_ids else None
+    return (split, IdTracker(split.test_ids), dataset.select(split.train_ids), val_ds,
+            dataset.select(split.test_ids))
+
+
+def _stage2(
+    seq_config: SeqModelConfig,
+    seed: int,
+    schedule: TrainSchedule | None,
+    split: DatasetSplit,
+    tracker: IdTracker,
+    role: str,
+    sequences: tuple[np.ndarray, np.ndarray | None, np.ndarray],
+    timing: PipelineTiming,
+) -> tuple[TrainRun, np.ndarray, np.ndarray]:
+    """Window the (train, val, test) sequence arrays, build and train the
+    predictor, score its test loss and predict every test window's next
+    frame. Fills the stage-2 timings; returns the run, the predictions and
+    the test targets."""
+    train, val, test = sequences
+    k = seq_config.window
+    tracker.use(split.train_ids, f"{role}-train")
+    tr_in, tr_tg, _ = window_dataset(train, k)
+    va_in, va_tg = (None, None)
+    if val is not None:
+        tracker.use(split.val_ids, f"{role}-val")
+        va_in, va_tg, _ = window_dataset(val, k)
+    t0 = time.perf_counter()
+    model = build_seq_model(seq_config, train.shape[2:], seed)
+    seq_run = train_seq_model(model, tr_in, tr_tg, va_in, va_tg, schedule)
+    timing.stage2_train_s = time.perf_counter() - t0
+
+    te_in, te_tg, _ = window_dataset(test, k)
+    seq_run.final_test_loss = evaluate_loss(model, te_in, te_tg, seq_config.loss)
+
+    t0 = time.perf_counter()
+    pred = predict_next(model, te_in)
+    timing.stage2_predict_s = time.perf_counter() - t0
+    return seq_run, pred, te_tg
+
+
 def run_pipeline(
     dataset: VideoDataset,
     ae_config: AutoencoderConfig,
@@ -304,14 +357,10 @@ def run_pipeline(
     id tracker raises on any violation. ``split_seed`` pins the partition
     independently of the model seed (model-comparison runs share one split).
     """
-    split = split_sequences(
-        dataset.ids, test_fraction, val_fraction, seed if split_seed is None else split_seed
+    split, tracker, train_ds, val_ds, test_ds = _partition(
+        dataset, test_fraction, val_fraction, seed, split_seed
     )
-    tracker = IdTracker(split.test_ids)
     timing = PipelineTiming()
-    train_ds = dataset.select(split.train_ids)
-    val_ds = dataset.select(split.val_ids) if split.val_ids else None
-    test_ds = dataset.select(split.test_ids)
 
     tracker.use(split.train_ids, "stage1-train")
     ae_run = None
@@ -350,24 +399,10 @@ def run_pipeline(
         raise ValueError(f"kl_population must be 'test' or 'train', got {kl_population!r}")
     latent_kl, dropped = safe_latent_kl(lat_test if kl_population == "test" else lat_train)
 
-    k = seq_config.window
-    tracker.use(split.train_ids, "stage2-train")
-    tr_in, tr_tg, _ = window_dataset(lat_train, k)
-    va_in, va_tg = (None, None)
-    if lat_val is not None:
-        tracker.use(split.val_ids, "stage2-val")
-        va_in, va_tg, _ = window_dataset(lat_val, k)
-    t0 = time.perf_counter()
-    seq_model = build_seq_model(seq_config, lat_train.shape[2:], seed)
-    seq_run = train_seq_model(seq_model, tr_in, tr_tg, va_in, va_tg, seq_schedule)
-    timing.stage2_train_s = time.perf_counter() - t0
-
-    te_in, te_tg, _ = window_dataset(lat_test, k)
-    seq_run.final_test_loss = evaluate_loss(seq_model, te_in, te_tg, seq_config.loss)
-
-    t0 = time.perf_counter()
-    pred_latents = predict_next(seq_model, te_in)
-    timing.stage2_predict_s = time.perf_counter() - t0
+    seq_run, pred_latents, _ = _stage2(
+        seq_config, seed, seq_schedule, split, tracker, "stage2",
+        (lat_train, lat_val, lat_test), timing,
+    )
 
     t0 = time.perf_counter()
     if scaler is not None:
@@ -375,6 +410,7 @@ def run_pipeline(
     pred_frames = decode(autoencoder, pred_latents.astype(np.float32, copy=False))
     timing.stage3_decode_s = time.perf_counter() - t0
 
+    k = seq_config.window
     truth = test_ds.data[:, k:].reshape(-1, *test_ds.data.shape[2:])
     prediction = score_frames(pred_frames, truth, ssim_params)
     expected = len(split.test_ids) * (dataset.data.shape[1] - k)
@@ -409,41 +445,20 @@ def run_baseline(
     scored with the same metric suite."""
     if seq_config.output_activation != "sigmoid":
         seq_config = SeqModelConfig(**{**seq_config.to_dict(), "output_activation": "sigmoid"})
-    split = split_sequences(
-        dataset.ids, test_fraction, val_fraction, seed if split_seed is None else split_seed
+    split, tracker, train_ds, val_ds, test_ds = _partition(
+        dataset, test_fraction, val_fraction, seed, split_seed
     )
-    tracker = IdTracker(split.test_ids)
     timing = PipelineTiming()
-    train_ds = dataset.select(split.train_ids)
-    val_ds = dataset.select(split.val_ids) if split.val_ids else None
-    test_ds = dataset.select(split.test_ids)
-
-    k = seq_config.window
-    tracker.use(split.train_ids, "baseline-train")
-    tr_in, tr_tg, _ = window_dataset(train_ds.data, k)
-    va_in, va_tg = (None, None)
-    if val_ds is not None:
-        tracker.use(split.val_ids, "baseline-val")
-        va_in, va_tg, _ = window_dataset(val_ds.data, k)
-    t0 = time.perf_counter()
-    model = build_seq_model(seq_config, train_ds.data.shape[2:], seed)
-    seq_run = train_seq_model(model, tr_in, tr_tg, va_in, va_tg, seq_schedule)
-    timing.stage2_train_s = time.perf_counter() - t0
-
-    te_in, te_tg, _ = window_dataset(test_ds.data, k)
-    seq_run.final_test_loss = evaluate_loss(model, te_in, te_tg, seq_config.loss)
-
-    t0 = time.perf_counter()
-    pred_frames = predict_next(model, te_in)
-    timing.stage2_predict_s = time.perf_counter() - t0
-
-    prediction = score_frames(pred_frames, te_tg, ssim_params)
+    seq_run, pred_frames, truth = _stage2(
+        seq_config, seed, seq_schedule, split, tracker, "baseline",
+        (train_ds.data, val_ds.data if val_ds is not None else None, test_ds.data), timing,
+    )
     return PipelineResult(
         config={"autoencoder": None, "sequence_model": seq_config.to_dict()},
         seed=seed,
         split=split,
         seq_run=seq_run,
-        prediction=prediction,
+        prediction=score_frames(pred_frames, truth, ssim_params),
         timing=timing,
         n_predictions=len(pred_frames),
     )
@@ -461,21 +476,9 @@ class BenchReport:
     iterations: int
     warmup: int
     hardware: str
-    stage2_total_s: float | None = None
-    stage1_plus_3_total_s: float | None = None
-    energy_joules: float | None = None  # fillable from external power instrumentation
 
     def to_dict(self) -> dict:
-        return {
-            "per_iteration_median_s": self.per_iteration_median_s,
-            "per_iteration_mean_s": self.per_iteration_mean_s,
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-            "hardware": self.hardware,
-            "stage2_total_s": self.stage2_total_s,
-            "stage1_plus_3_total_s": self.stage1_plus_3_total_s,
-            "energy_joules": self.energy_joules,
-        }
+        return asdict(self)
 
 
 def hardware_descriptor() -> str:

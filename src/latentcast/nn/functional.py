@@ -13,55 +13,84 @@ from numpy.lib.stride_tricks import as_strided
 from ..errors import ShapeError
 
 
-def _windows2d(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    n, _, _, c = xp.shape
-    sn, sh, sw, sc = xp.strides
+def _windows(xp: np.ndarray, k, stride: int, out) -> np.ndarray:
+    """im2col: the (N, *out, *k, C) read-only view of the kernel windows of
+    the channels-last array ``xp``, window origins ``stride`` apart."""
+    sn, *sp, sc = xp.strides
     return as_strided(
         xp,
-        (n, oh, ow, kh, kw, c),
-        (sn, stride * sh, stride * sw, sh, sw, sc),
+        (xp.shape[0], *out, *k, xp.shape[-1]),
+        (sn, *(stride * s for s in sp), *sp, sc),
         writeable=False,
     )
 
 
-# -- 2-D convolution ---------------------------------------------------------
+def _col2im(cols: np.ndarray, shape, stride: int, out, dtype) -> np.ndarray:
+    """col2im, the adjoint of ``_windows``: scatter-add the (N, *out, *k, C)
+    windows into a zero array of ``shape``, one kernel offset at a time."""
+    buf = np.zeros(shape, dtype=dtype)
+    nd = len(out)
+    for offset in np.ndindex(*cols.shape[1 + nd : 1 + 2 * nd]):
+        dst = tuple(slice(i, i + stride * o, stride) for i, o in zip(offset, out))
+        buf[(slice(None), *dst)] += cols[(slice(None),) * (1 + nd) + offset]
+    return buf
+
+
+# -- convolution (2-D and 3-D share one body) ----------------------------------
+
+
+def _conv_forward(x, w, b, stride, pads, name):
+    nd = x.ndim - 2
+    k, cin, cout = w.shape[:nd], w.shape[nd], w.shape[-1]
+    if x.shape[-1] != cin:
+        raise ShapeError(f"{name}: input has {x.shape[-1]} channels, kernel expects {cin}")
+    out = tuple((s + 2 * p - kk) // stride + 1 for s, p, kk in zip(x.shape[1:-1], pads, k))
+    if min(out) < 1:
+        raise ShapeError(
+            f"{name}: input {'x'.join(map(str, x.shape[1:-1]))} too small for kernel "
+            f"{'x'.join(map(str, k))}"
+        )
+    xp = np.pad(x, ((0, 0), *((p, p) for p in pads), (0, 0))) if any(pads) else x
+    cols = _windows(xp, k, stride, out).reshape(-1, w.size // cout)
+    y = (cols @ w.reshape(-1, cout) + b).reshape(x.shape[0], *out, cout)
+    return y, (cols, x.shape, stride, pads, out)
+
+
+def _conv_backward(dy, cache, w):
+    """(dx, dw, db) of ``_conv_forward``: dx is col2im of the column gradient."""
+    cols, x_shape, stride, pads, out = cache
+    cout = w.shape[-1]
+    dyf = dy.reshape(-1, cout)
+    db = dyf.sum(axis=0)
+    dw = (cols.T @ dyf).reshape(w.shape)
+    dcols = (dyf @ w.reshape(-1, cout).T).reshape(x_shape[0], *out, *w.shape[:-1])
+    spatial = x_shape[1:-1]
+    padded = (x_shape[0], *(s + 2 * p for s, p in zip(spatial, pads)), x_shape[-1])
+    dxp = _col2im(dcols, padded, stride, out, dy.dtype)
+    return dxp[(slice(None), *(slice(p, p + s) for s, p in zip(spatial, pads)))], dw, db
 
 
 def conv2d_forward(x, w, b, stride=1, padding=0):
     """x (N,H,W,Cin), w (KH,KW,Cin,Cout) -> (N,OH,OW,Cout) via im2col matmul."""
-    n, h, wd, c = x.shape
-    kh, kw, cin, cout = w.shape
-    if c != cin:
-        raise ShapeError(f"conv2d: input has {c} channels, kernel expects {cin}")
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"conv2d: input {h}x{wd} too small for kernel {kh}x{kw}")
-    xp = np.pad(x, ((0, 0), (padding,) * 2, (padding,) * 2, (0, 0))) if padding else x
-    cols = _windows2d(xp, kh, kw, stride, oh, ow).reshape(n * oh * ow, kh * kw * cin)
-    y = (cols @ w.reshape(-1, cout) + b).reshape(n, oh, ow, cout)
-    return y, (cols, x.shape, stride, padding, oh, ow)
+    return _conv_forward(x, w, b, stride, (padding, padding), "conv2d")
 
 
+# each public kernel is its own function (no aliases, no calls between them),
+# so wrappers installed by name count every kernel apart
 def conv2d_backward(dy, cache, w):
-    cols, x_shape, stride, padding, oh, ow = cache
-    n, h, wd, cin = x_shape
-    kh, kw, _, cout = w.shape
-    dyf = dy.reshape(n * oh * ow, cout)
-    db = dyf.sum(axis=0)
-    dw = (cols.T @ dyf).reshape(w.shape)
-    dcols = (dyf @ w.reshape(-1, cout).T).reshape(n, oh, ow, kh, kw, cin)
-    dxp = np.zeros((n, h + 2 * padding, wd + 2 * padding, cin), dtype=dy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += dcols[
-                :, :, :, i, j, :
-            ]
-    dx = dxp[:, padding : padding + h, padding : padding + wd, :] if padding else dxp
-    return dx, dw, db
+    return _conv_backward(dy, cache, w)
 
 
-# -- transposed 2-D convolution ----------------------------------------------
+def conv3d_forward(x, w, b, padding=(0, 1, 1)):
+    """x (N,D,H,W,Cin), w (KD,KH,KW,Cin,Cout), unit stride."""
+    return _conv_forward(x, w, b, 1, tuple(padding), "conv3d")
+
+
+def conv3d_backward(dy, cache, w):
+    return _conv_backward(dy, cache, w)
+
+
+# -- transposed 2-D convolution: col2im forward, im2col backward ------------
 
 
 def conv_transpose2d_forward(x, w, b, stride=2, padding=1, output_padding=1):
@@ -80,12 +109,7 @@ def conv_transpose2d_forward(x, w, b, stride=2, padding=1, output_padding=1):
     )
     bufh = (h - 1) * stride + kh + output_padding
     bufw = (wd - 1) * stride + kw + output_padding
-    buf = np.zeros((n, bufh, bufw, cout), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            buf[:, i : i + stride * h : stride, j : j + stride * wd : stride, :] += t[
-                :, :, :, i, j, :
-            ]
+    buf = _col2im(t, (n, bufh, bufw, cout), stride, (h, wd), x.dtype)
     y = buf[:, padding : padding + gh, padding : padding + gw, :] + b
     return y, (x, stride, padding, gh, gw, bufh, bufw)
 
@@ -96,55 +120,11 @@ def conv_transpose2d_backward(dy, cache, w):
     kh, kw, _, cout = w.shape
     dbuf = np.zeros((n, bufh, bufw, cout), dtype=dy.dtype)
     dbuf[:, padding : padding + gh, padding : padding + gw, :] = dy
-    winf = _windows2d(dbuf, kh, kw, stride, h, wd).reshape(n * h * wd, kh * kw * cout)
+    winf = _windows(dbuf, (kh, kw), stride, (h, wd)).reshape(n * h * wd, kh * kw * cout)
     w2 = w.transpose(2, 0, 1, 3).reshape(cin, -1)
     dx = (winf @ w2.T).reshape(n, h, wd, cin)
     dw = (x.reshape(-1, cin).T @ winf).reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
     db = dy.sum(axis=(0, 1, 2))
-    return dx, dw, db
-
-
-# -- 3-D convolution (stride 1) ----------------------------------------------
-
-
-def conv3d_forward(x, w, b, padding=(0, 1, 1)):
-    """x (N,D,H,W,Cin), w (KD,KH,KW,Cin,Cout), unit stride."""
-    n, d, h, wd, c = x.shape
-    kd, kh, kw, cin, cout = w.shape
-    if c != cin:
-        raise ShapeError(f"conv3d: input has {c} channels, kernel expects {cin}")
-    pd, ph, pw = padding
-    xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw), (0, 0)))
-    od, oh, ow = d + 2 * pd - kd + 1, h + 2 * ph - kh + 1, wd + 2 * pw - kw + 1
-    if min(od, oh, ow) < 1:
-        raise ShapeError(f"conv3d: input {d}x{h}x{wd} too small for kernel {kd}x{kh}x{kw}")
-    sn, sd, sh, sw, sc = xp.strides
-    cols = as_strided(
-        xp,
-        (n, od, oh, ow, kd, kh, kw, c),
-        (sn, sd, sh, sw, sd, sh, sw, sc),
-        writeable=False,
-    ).reshape(n * od * oh * ow, kd * kh * kw * c)
-    y = (cols @ w.reshape(-1, cout) + b).reshape(n, od, oh, ow, cout)
-    return y, (cols, x.shape, padding, od, oh, ow)
-
-
-def conv3d_backward(dy, cache, w):
-    cols, x_shape, padding, od, oh, ow = cache
-    n, d, h, wd, cin = x_shape
-    kd, kh, kw = w.shape[:3]
-    cout = w.shape[4]
-    pd, ph, pw = padding
-    dyf = dy.reshape(-1, cout)
-    db = dyf.sum(axis=0)
-    dw = (cols.T @ dyf).reshape(w.shape)
-    dcols = (dyf @ w.reshape(-1, cout).T).reshape(n, od, oh, ow, kd, kh, kw, cin)
-    dxp = np.zeros((n, d + 2 * pd, h + 2 * ph, wd + 2 * pw, cin), dtype=dy.dtype)
-    for a in range(kd):
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, a : a + od, i : i + oh, j : j + ow, :] += dcols[:, :, :, :, a, i, j, :]
-    dx = dxp[:, pd : pd + d, ph : ph + h, pw : pw + wd, :]
     return dx, dw, db
 
 

@@ -89,18 +89,9 @@ def lanczos_weight_matrix(in_size: int, out_size: int, a: int = 3) -> np.ndarray
 def resize_lanczos(frame: np.ndarray, target: tuple[int, int], a: int = 3) -> np.ndarray:
     """Separable Lanczos resampling of an (H, W) or (H, W, C) frame to
     ``target`` = (height, width), clamped to [0, 1]."""
-    th, tw = target
     if frame.ndim == 2:
-        frame = frame[..., None]
-        squeeze = True
-    else:
-        squeeze = False
-    h, w, c = frame.shape
-    row_m = lanczos_weight_matrix(h, th, a)
-    col_m = lanczos_weight_matrix(w, tw, a)
-    out = np.einsum("oh,hwc,pw->opc", row_m, frame.astype(np.float64), col_m, optimize=True)
-    out = np.clip(out, 0.0, 1.0).astype(np.float32)
-    return out[..., 0] if squeeze else out
+        return resize_sequence(frame[None, :, :, None], target, a)[0, :, :, 0]
+    return resize_sequence(frame[None], target, a)[0]
 
 
 def resize_sequence(frames: np.ndarray, target: tuple[int, int], a: int = 3) -> np.ndarray:
@@ -171,13 +162,11 @@ def crop_black_borders(
     channels) stays below ``threshold``. An entirely dark frame is returned
     unchanged with a warning."""
     work = frame if frame.ndim == 3 else frame[..., None]
-    intensity = work.max(axis=2)
-    row_keep = np.nonzero(intensity.max(axis=1) >= threshold)[0]
-    col_keep = np.nonzero(intensity.max(axis=0) >= threshold)[0]
-    if row_keep.size == 0 or col_keep.size == 0:
+    if not (work >= threshold).any():
         warnings.warn("entire frame below border threshold, returning unchanged")
         return frame
-    return frame[row_keep[0] : row_keep[-1] + 1, col_keep[0] : col_keep[-1] + 1]
+    r0, r1, c0, c1 = crop_bounds_sequence(work[None], threshold)
+    return frame[r0:r1, c0:c1]
 
 
 def crop_bounds_sequence(

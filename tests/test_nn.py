@@ -256,6 +256,38 @@ class TestKernelEquivalence:
         assert all(set(s) <= {"m", "v", "sq"} for s in opt.state.values())
 
 
+class TestConvKernelPair:
+    """The three convolutions share one im2col/col2im pair."""
+
+    @pytest.mark.parametrize("k, output_padding", [(3, 1), (4, 0)])
+    def test_transposed_conv_is_conv_input_gradient(self, k, output_padding):
+        from latentcast.nn import functional as F
+
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2, 8, 10, 3)).astype(np.float32)
+        w = rng.normal(size=(k, k, 3, 5)).astype(np.float32)
+        y, cache = F.conv2d_forward(x, w, np.zeros(5, np.float32), 2, 1)
+        dy = rng.normal(size=y.shape).astype(np.float32)
+        dx = F.conv2d_backward(dy, cache, w)[0]
+        adj = F.conv_transpose2d_forward(
+            dy, w.transpose(0, 1, 3, 2), np.zeros(3, np.float32), 2, 1, output_padding
+        )[0]
+        assert adj.shape == dx.shape == x.shape
+        assert adj.tobytes() == dx.tobytes()
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_depth_one_conv3d_is_conv2d_per_frame(self, p):
+        from latentcast.nn import functional as F
+
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(2, 4, 7, 6, 3)).astype(np.float32)
+        w = rng.normal(size=(1, 3, 3, 3, 5)).astype(np.float32)
+        b = rng.normal(size=5).astype(np.float32)
+        y3 = F.conv3d_forward(x, w, b, (0, p, p))[0]
+        y2 = F.conv2d_forward(x.reshape(8, 7, 6, 3), w[0], b, 1, p)[0]
+        np.testing.assert_allclose(y3, y2.reshape(y3.shape), rtol=1e-6)
+
+
 class TestBatchNorm:
     def test_train_mode_moments(self):
         layer = BatchNorm("bn", 6)
