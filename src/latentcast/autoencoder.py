@@ -17,7 +17,7 @@ from .errors import ConfigError, ShapeError
 from .nn.layers import BatchNorm, Conv2D, ConvTranspose2D, LeakyReLU, Sigmoid
 from .nn.losses import LossKind
 from .nn.network import Model, Sequential, register_model_kind
-from .nn.optim import Optimizer, OptimizerKind, make_optimizer
+from .nn.optim import Optimizer, OptimizerKind
 from .training import TrainRun, TrainSchedule, fit, predict_batched
 
 DEFAULT_LEAKY_SLOPE = 0.01
@@ -157,21 +157,7 @@ def train_autoencoder(
 ) -> TrainRun:
     """Train on (frame, same frame) pairs; returns the run with the
     best-validation parameters restored into the model."""
-    schedule = schedule or TrainSchedule()
-    optimizer = optimizer or make_optimizer(model.config.optimizer, model.config.learning_rate)
-    run = TrainRun(config=model.config.to_dict(), seed=model.seed)
-    return fit(
-        model,
-        optimizer,
-        model.config.loss,
-        train_frames,
-        train_frames,
-        val_frames,
-        val_frames,
-        schedule,
-        model.seed,
-        run=run,
-    )
+    return fit(model, train_frames, train_frames, val_frames, val_frames, schedule, optimizer)
 
 
 def encode_dataset(model: Autoencoder, sequences: np.ndarray, batch_size: int = 64) -> np.ndarray:

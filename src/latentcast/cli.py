@@ -12,26 +12,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import (
-    AutoencoderConfig,
-    build_autoencoder,
-    encode_dataset,
-    train_autoencoder,
-)
+from .autoencoder import AutoencoderConfig, encode_dataset
 from .dataio import (
     DatasetSplit,
     VideoDataset,
-    index_ids,
     load_frame_directory,
     load_sequences_npy,
     parse_array_file,
     split_sequences,
-    write_array_file,
 )
 from .errors import DataError, FormatError, LatentcastError, TrainingAbortError
 from .experiment import (
     benchmark_inference,
     emit_report,
+    fit_autoencoder,
+    fit_predictor,
     grid_search_ae,
     grid_search_seq,
     safe_latent_kl,
@@ -39,7 +34,7 @@ from .experiment import (
 from .metrics import bucketize_intervals, mae, mse, score_frames
 from .nn.network import load_checkpoint, save_checkpoint
 from .preprocess import PreprocessSpec, preprocess_dataset, stratified_subset, verify_continuity
-from .seqmodels import SeqModelConfig, SeqModelKind, build_seq_model, train_seq_model, window_dataset
+from .seqmodels import SeqModelConfig, SeqModelKind, window_dataset
 from .training import TrainSchedule
 
 
@@ -236,30 +231,28 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-def _select_split(ds: VideoDataset, split_path: str | None):
+def _select_split(path: str, split_path: str | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The train and validation sequences of a dataset or latents file: the
+    split file's train/val ids, else every sequence and no validation."""
+    ds = VideoDataset.load(path)
     if split_path is None:
-        return ds, None
-    split = DatasetSplit.from_json(Path(split_path).read_text())
-    train = ds.select(split.train_ids)
-    val = ds.select(split.val_ids) if split.val_ids else None
-    return train, val
+        return ds.data, None
+    split = DatasetSplit.from_json(Path(split_path).read_bytes())
+    val = ds.select(split.val_ids).data if split.val_ids else None
+    return ds.select(split.train_ids).data, val
 
 
 def _cmd_train_ae(args) -> int:
-    ds = VideoDataset.load(args.dataset)
-    train_ds, val_ds = _select_split(ds, args.split)
+    train, val = _select_split(args.dataset, args.split)
     config = AutoencoderConfig(
         dims=args.dims,
         loss=args.loss,
         optimizer=args.opt,
         learning_rate=args.lr,
-        input_channels=ds.data.shape[4],
-        input_size=ds.data.shape[2],
+        input_channels=train.shape[4],
+        input_size=train.shape[2],
     )
-    model = build_autoencoder(config, args.seed)
-    frames = train_ds.data.reshape(-1, *train_ds.data.shape[2:])
-    val_frames = val_ds.data.reshape(-1, *val_ds.data.shape[2:]) if val_ds is not None else None
-    run = train_autoencoder(model, frames, val_frames, _schedule(args))
+    model, run = fit_autoencoder(config, args.seed, train, val, _schedule(args))
     save_checkpoint(args.out, model, extra={"train_run": run.to_dict()})
     print(
         f"trained autoencoder: best epoch {run.best_epoch}, "
@@ -272,28 +265,13 @@ def _cmd_extract(args) -> int:
     model, _, _ = load_checkpoint(args.ckpt)
     ds = VideoDataset.load(args.dataset)
     latents = encode_dataset(model, ds.data)
-    write_array_file(args.out, latents.astype(np.float32))
-    meta = {"ids": ds.ids, "labels": ds.labels}
-    Path(args.out + ".meta.json").write_text(json.dumps(meta))
+    VideoDataset(latents, ds.ids, ds.labels).save(args.out)
     print(f"wrote latents {latents.shape} to {args.out}")
     return 0
 
 
-def _load_latents(path: str) -> tuple[np.ndarray, list[str]]:
-    shape, values = parse_array_file(Path(path).read_bytes())
-    if len(shape) != 5:
-        raise FormatError(f"latents must be (N, T, h, w, c), got shape {shape}")
-    meta_path = Path(path + ".meta.json")
-    ids = (
-        json.loads(meta_path.read_text())["ids"]
-        if meta_path.exists()
-        else [f"seq{i:05d}" for i in range(shape[0])]
-    )
-    return values, ids
-
-
 def _cmd_train_seq(args) -> int:
-    latents, ids = _load_latents(args.latents)
+    train, val = _select_split(args.latents, args.split)
     config = SeqModelConfig(
         kind=args.kind,
         hidden_size=args.hidden,
@@ -303,18 +281,7 @@ def _cmd_train_seq(args) -> int:
         learning_rate=args.lr,
         window=args.window,
     )
-    if args.split:
-        split = DatasetSplit.from_json(Path(args.split).read_text())
-        train_lat = latents[index_ids(ids, split.train_ids)]
-        val_lat = latents[index_ids(ids, split.val_ids)] if split.val_ids else None
-    else:
-        train_lat, val_lat = latents, None
-    tr_in, tr_tg, _ = window_dataset(train_lat, config.window)
-    va_in, va_tg = (None, None)
-    if val_lat is not None:
-        va_in, va_tg, _ = window_dataset(val_lat, config.window)
-    model = build_seq_model(config, latents.shape[2:], args.seed)
-    run = train_seq_model(model, tr_in, tr_tg, va_in, va_tg, _schedule(args))
+    model, run = fit_predictor(config, args.seed, train, val, _schedule(args))
     save_checkpoint(args.out, model, extra={"train_run": run.to_dict()})
     print(
         f"trained {args.kind}: best epoch {run.best_epoch}, "
@@ -331,7 +298,7 @@ def _cmd_gridsearch(args) -> int:
     if args.stage == "seq":
         if args.kind is None:
             raise FormatError("--kind is required for the seq stage")
-        latents, _ = _load_latents(args.dataset)
+        latents = VideoDataset.load(args.dataset).data
         ranked = grid_search_seq(
             grid, SeqModelKind(args.kind), latents, args.kfold, args.seed, schedule, args.jobs
         )
@@ -342,16 +309,8 @@ def _cmd_gridsearch(args) -> int:
     else:
         ds = VideoDataset.load(args.dataset)
         split = split_sequences(ds.ids, 0.2, 0.2, args.seed)
-        train = ds.select(split.train_ids).data
-        val = ds.select(split.val_ids).data
-        ranked = grid_search_ae(
-            grid,
-            train.reshape(-1, *train.shape[2:]),
-            val.reshape(-1, *val.shape[2:]),
-            args.seed,
-            schedule,
-            args.jobs,
-        )
+        ranked = grid_search_ae(grid, ds.select(split.train_ids).data,
+                                ds.select(split.val_ids).data, args.seed, schedule, args.jobs)
         rows = [{"config": values, "val_mse": value} for values, value in ranked]
     (out_dir / "results.json").write_text(json.dumps(rows, indent=2))
     best = rows[0]
@@ -363,10 +322,7 @@ def _cmd_bench(args) -> int:
     model, _, manifest = load_checkpoint(args.ckpt)
     if manifest["model"].get("model_kind") != "seq_predictor":
         raise FormatError("bench expects a predictor checkpoint (train-seq output)")
-    path = args.latents or args.frames
-    shape, values = parse_array_file(Path(path).read_bytes())
-    if len(shape) == 4:
-        values = values[..., None]
+    values = VideoDataset.load(args.latents or args.frames).data
     window = manifest["model"]["config"]["window"]
     inputs, _, _ = window_dataset(values[: min(8, len(values))], window)
     report = benchmark_inference(model, inputs, warmup=args.warmup, iters=args.iters)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,9 +62,20 @@ class FrameSequence:
     def __len__(self) -> int:
         return self.frames.shape[0]
 
-    @property
-    def frame_shape(self) -> tuple[int, int, int]:
-        return tuple(self.frames.shape[1:])
+
+def _json_object(text: str | bytes, what: str, keys: tuple[str, ...]) -> dict:
+    """Parse a JSON object that holds ``keys``; anything else is a
+    ``DataError`` naming ``what``."""
+    try:
+        d = json.loads(text)
+    except ValueError as exc:  # also undecodable bytes
+        raise DataError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(d, dict):
+        raise DataError(f"{what} must hold a JSON object, got {type(d).__name__}")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise DataError(f"{what} lacks key(s) {', '.join(missing)}")
+    return d
 
 
 def index_ids(ids: list[str], wanted: list[str]) -> list[int]:
@@ -127,8 +139,10 @@ class VideoDataset:
             raise FormatError(f"dataset file must be 4-D or 5-D, got shape {shape}")
         meta_path = path.with_suffix(path.suffix + ".meta.json")
         if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
+            meta = _json_object(meta_path.read_bytes(), meta_path.name, ("ids",))
             ids, labels = meta["ids"], meta.get("labels")
+            if not isinstance(ids, list) or not isinstance(labels, (list, type(None))):
+                raise DataError(f"{meta_path.name}: ids and labels must be lists")
         else:
             ids = [f"seq{i:05d}" for i in range(values.shape[0])]
             labels = None
@@ -145,6 +159,8 @@ class DatasetSplit:
     seed: int
 
     def __post_init__(self) -> None:
+        if not self.train_ids:
+            raise InsufficientDataError("split leaves no training sequences")
         parts = [set(self.train_ids), set(self.val_ids), set(self.test_ids)]
         total = sum(len(p) for p in parts)
         if len(parts[0] | parts[1] | parts[2]) != total:
@@ -162,19 +178,11 @@ class DatasetSplit:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "DatasetSplit":
+    def from_json(cls, text: str | bytes) -> "DatasetSplit":
         """Parse ``to_json`` output; malformed JSON or a missing key is a
         ``DataError``."""
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"split file is not valid JSON: {exc}") from exc
-        if not isinstance(d, dict):
-            raise DataError(f"split file must hold a JSON object, got {type(d).__name__}")
         keys = ("train_ids", "val_ids", "test_ids", "seed")
-        missing = [k for k in keys if k not in d]
-        if missing:
-            raise DataError(f"split file lacks key(s) {', '.join(missing)}")
+        d = _json_object(text, "split file", keys)
         return cls(*(d[k] for k in keys))
 
 
@@ -202,18 +210,22 @@ def parse_array_file(data: bytes) -> tuple[list[int], np.ndarray]:
         raise FormatError("truncated .npy header")
     try:
         header = ast.literal_eval(data[10:header_end].decode("latin1"))
-    except (ValueError, SyntaxError) as exc:
+    except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError) as exc:
         raise FormatError(f"unparseable .npy header: {exc}") from exc
     if not isinstance(header, dict) or not {"descr", "fortran_order", "shape"} <= set(header):
         raise FormatError("incomplete .npy header dictionary")
-    descr = header["descr"]
+    descr, shape = header["descr"], header["shape"]
+    if not isinstance(descr, str):
+        raise FormatError(f"element type must be a string, got {descr!r}")
     if descr not in _DESCR_MAP:
         raise UnsupportedDtypeError(f"unsupported element type {descr!r}")
     if header["fortran_order"]:
         raise FormatError("fortran-order arrays are not supported")
-    shape = [int(s) for s in header["shape"]]
+    if not isinstance(shape, tuple) or not all(type(s) is int and s >= 0 for s in shape):
+        raise FormatError(f"shape must be a tuple of non-negative integers, got {shape!r}")
+    shape = list(shape)
     dtype = np.dtype(_DESCR_MAP[descr])
-    count = int(np.prod(shape)) if shape else 1
+    count = math.prod(shape)
     payload = data[header_end:]
     if len(payload) < count * dtype.itemsize:
         raise TruncationError(
@@ -409,6 +421,4 @@ def split_sequences(
     test_ids = shuffled[:n_test]
     val_ids = shuffled[n_test : n_test + n_val]
     train_ids = shuffled[n_test + n_val :]
-    if not train_ids:
-        raise InsufficientDataError("split leaves no training sequences")
     return DatasetSplit(train_ids=train_ids, val_ids=val_ids, test_ids=test_ids, seed=seed)

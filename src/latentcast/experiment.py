@@ -1,5 +1,6 @@
-"""Pipeline orchestration: grid search, K-fold validation, the three-stage
-run, the pixel-space baseline, inference benchmarking and report emission."""
+"""Pipeline orchestration: the stage-1 and stage-2 training functions, grid
+search, K-fold validation, the three-stage run, the pixel-space baseline,
+inference benchmarking and report emission."""
 
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from .seqmodels import (
     LAYERED_KINDS,
     SeqModelConfig,
     SeqModelKind,
+    SeqPredictor,
     build_seq_model,
     predict_next,
     train_seq_model,
@@ -91,6 +93,41 @@ def _map(fn, tasks: list, jobs: int) -> list:
     return [fn(t) for t in tasks]
 
 
+def _flat_frames(data: np.ndarray) -> np.ndarray:
+    return data.reshape(-1, *data.shape[2:])
+
+
+def fit_autoencoder(
+    config: AutoencoderConfig,
+    seed: int,
+    train: np.ndarray,
+    val: np.ndarray | None,
+    schedule: TrainSchedule | None,
+) -> tuple[Autoencoder, TrainRun]:
+    """Stage 1: build the autoencoder and train it on the frames of the
+    (N, T, H, W, C) train and validation sequences."""
+    model = build_autoencoder(config, seed)
+    val_frames = _flat_frames(val) if val is not None else None
+    return model, train_autoencoder(model, _flat_frames(train), val_frames, schedule)
+
+
+def fit_predictor(
+    config: SeqModelConfig,
+    seed: int,
+    train: np.ndarray,
+    val: np.ndarray | None,
+    schedule: TrainSchedule | None,
+) -> tuple[SeqPredictor, TrainRun]:
+    """Stage 2: window the (N, T, h, w, c) train and validation sequences,
+    build the predictor and train it."""
+    tr_in, tr_tg, _ = window_dataset(train, config.window)
+    va_in = va_tg = None
+    if val is not None:
+        va_in, va_tg, _ = window_dataset(val, config.window)
+    model = build_seq_model(config, train.shape[2:], seed)
+    return model, train_seq_model(model, tr_in, tr_tg, va_in, va_tg, schedule)
+
+
 @dataclass
 class FoldStats:
     losses: list[float]
@@ -118,18 +155,15 @@ def kfold_validate(
         raise FoldError(f"need at least 2 folds, got {k_folds}")
     if k_folds > n:
         raise FoldError(f"{k_folds} folds over {n} sequences")
-    schedule = schedule or TrainSchedule()
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     folds = np.array_split(order, k_folds)
     losses = []
-    latent_shape = latents.shape[2:]
     for i, val_idx in enumerate(folds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        tr_in, tr_tg, _ = window_dataset(latents[train_idx], config.window)
-        va_in, va_tg, _ = window_dataset(latents[val_idx], config.window)
-        model = build_seq_model(config, latent_shape, seed)
-        run = train_seq_model(model, tr_in, tr_tg, va_in, va_tg, schedule)
+        # keep only the run: the model's layer caches would otherwise stay
+        # alive through the next fold's training
+        run = fit_predictor(config, seed, latents[train_idx], latents[val_idx], schedule)[1]
         losses.append(run.final_val_loss)
     return fold_stats(losses)
 
@@ -157,31 +191,27 @@ def grid_search_seq(
 
 
 def _eval_ae_config(args) -> tuple[dict, float]:
-    values, train_frames, val_frames, seed, schedule = args
-    config = AutoencoderConfig(
-        **values,
-        input_size=train_frames.shape[1],
-        input_channels=train_frames.shape[3],
-    )
-    model = build_autoencoder(config, seed)
-    train_autoencoder(model, train_frames, val_frames, schedule)
+    values, train, val, seed, schedule = args
+    config = AutoencoderConfig(**values, input_size=train.shape[2], input_channels=train.shape[4])
+    model, _ = fit_autoencoder(config, seed, train, val, schedule)
     # selection uses validation MSE regardless of the training loss
-    val_mse = evaluate_loss(model, val_frames, val_frames, "mse")
-    return values, val_mse
+    val_frames = _flat_frames(val)
+    return values, evaluate_loss(model, val_frames, val_frames, "mse")
 
 
 def grid_search_ae(
     grid: dict[str, list],
-    train_frames: np.ndarray,
-    val_frames: np.ndarray,
+    train: np.ndarray,
+    val: np.ndarray,
     seed: int = 0,
     schedule: TrainSchedule | None = None,
     jobs: int = 1,
 ) -> list[tuple[dict, float]]:
-    """Autoencoder grid search ranked by validation MSE; frame geometry
-    comes from the data, the grid carries only the searched axes."""
+    """Autoencoder grid search over (N, T, H, W, C) train and validation
+    sequences, ranked by validation MSE; frame geometry comes from the
+    data, the grid carries only the searched axes."""
     combos = grid_enumerate(grid)
-    tasks = [(values, train_frames, val_frames, seed, schedule) for values in combos]
+    tasks = [(values, train, val, seed, schedule) for values in combos]
     return sorted(_map(_eval_ae_config, tasks, jobs), key=lambda cs: cs[1])
 
 
@@ -265,10 +295,6 @@ class PipelineResult:
         }
 
 
-def _flat_frames(data: np.ndarray) -> np.ndarray:
-    return data.reshape(-1, *data.shape[2:])
-
-
 def safe_latent_kl(latents: np.ndarray) -> tuple[float, int]:
     """KL against N(0,1) over latent units, skipping constant (sigma = 0)
     units; returns (value, number of units skipped)."""
@@ -286,16 +312,16 @@ def _partition(
     val_fraction: float,
     seed: int,
     split_seed: int | None,
-) -> tuple[DatasetSplit, IdTracker, VideoDataset, VideoDataset | None, VideoDataset]:
+) -> tuple[DatasetSplit, IdTracker, np.ndarray, np.ndarray | None, np.ndarray]:
     """Split by sequence (``split_seed``, else ``seed``); returns the split,
     its test-id tracker and the train, validation (None when empty) and test
-    datasets."""
+    sequences."""
     split = split_sequences(
         dataset.ids, test_fraction, val_fraction, seed if split_seed is None else split_seed
     )
-    val_ds = dataset.select(split.val_ids) if split.val_ids else None
-    return (split, IdTracker(split.test_ids), dataset.select(split.train_ids), val_ds,
-            dataset.select(split.test_ids))
+    val = dataset.select(split.val_ids).data if split.val_ids else None
+    return (split, IdTracker(split.test_ids), dataset.select(split.train_ids).data, val,
+            dataset.select(split.test_ids).data)
 
 
 def _stage2(
@@ -308,24 +334,18 @@ def _stage2(
     sequences: tuple[np.ndarray, np.ndarray | None, np.ndarray],
     timing: PipelineTiming,
 ) -> tuple[TrainRun, np.ndarray, np.ndarray]:
-    """Window the (train, val, test) sequence arrays, build and train the
-    predictor, score its test loss and predict every test window's next
-    frame. Fills the stage-2 timings; returns the run, the predictions and
-    the test targets."""
+    """Train the predictor on the (train, val) sequence arrays, score its
+    test loss and predict every test window's next frame. Fills the stage-2
+    timings; returns the run, the predictions and the test targets."""
     train, val, test = sequences
-    k = seq_config.window
     tracker.use(split.train_ids, f"{role}-train")
-    tr_in, tr_tg, _ = window_dataset(train, k)
-    va_in, va_tg = (None, None)
     if val is not None:
         tracker.use(split.val_ids, f"{role}-val")
-        va_in, va_tg, _ = window_dataset(val, k)
     t0 = time.perf_counter()
-    model = build_seq_model(seq_config, train.shape[2:], seed)
-    seq_run = train_seq_model(model, tr_in, tr_tg, va_in, va_tg, schedule)
+    model, seq_run = fit_predictor(seq_config, seed, train, val, schedule)
     timing.stage2_train_s = time.perf_counter() - t0
 
-    te_in, te_tg, _ = window_dataset(test, k)
+    te_in, te_tg, _ = window_dataset(test, seq_config.window)
     seq_run.final_test_loss = evaluate_loss(model, te_in, te_tg, seq_config.loss)
 
     t0 = time.perf_counter()
@@ -347,7 +367,6 @@ def run_pipeline(
     ssim_params: SSIMParams | None = None,
     split_seed: int | None = None,
     standardize_latents: bool = False,
-    kl_population: str = "test",
 ) -> PipelineResult:
     """Three stages end to end: train/reuse the autoencoder, train the
     predictor on latent windows, decode predicted test latents and score
@@ -357,33 +376,26 @@ def run_pipeline(
     id tracker raises on any violation. ``split_seed`` pins the partition
     independently of the model seed (model-comparison runs share one split).
     """
-    split, tracker, train_ds, val_ds, test_ds = _partition(
+    split, tracker, train, val, test = _partition(
         dataset, test_fraction, val_fraction, seed, split_seed
     )
+    test_frames = _flat_frames(test)
     timing = PipelineTiming()
 
     tracker.use(split.train_ids, "stage1-train")
     ae_run = None
     t0 = time.perf_counter()
     if autoencoder is None:
-        autoencoder = build_autoencoder(ae_config, seed)
-        if val_ds is not None:
+        if val is not None:
             tracker.use(split.val_ids, "stage1-val")
-        ae_run = train_autoencoder(
-            autoencoder,
-            _flat_frames(train_ds.data),
-            _flat_frames(val_ds.data) if val_ds is not None else None,
-            ae_schedule,
-        )
-        ae_run.final_test_loss = evaluate_loss(
-            autoencoder, _flat_frames(test_ds.data), _flat_frames(test_ds.data), "mse"
-        )
+        autoencoder, ae_run = fit_autoencoder(ae_config, seed, train, val, ae_schedule)
+        ae_run.final_test_loss = evaluate_loss(autoencoder, test_frames, test_frames, "mse")
     timing.stage1_train_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    lat_train = encode_dataset(autoencoder, train_ds.data)
-    lat_val = encode_dataset(autoencoder, val_ds.data) if val_ds is not None else None
-    lat_test = encode_dataset(autoencoder, test_ds.data)
+    lat_train = encode_dataset(autoencoder, train)
+    lat_val = encode_dataset(autoencoder, val) if val is not None else None
+    lat_test = encode_dataset(autoencoder, test)
     scaler = None
     if standardize_latents:
         scaler = LatentScaler.fit(lat_train)  # fitted on training latents only
@@ -392,12 +404,9 @@ def run_pipeline(
         lat_test = scaler.transform(lat_test)
     timing.stage1_encode_s = time.perf_counter() - t0
 
-    recon_test = reconstruct(autoencoder, _flat_frames(test_ds.data))
-    ae_test = score_frames(recon_test, _flat_frames(test_ds.data), ssim_params,
-                           with_intervals=False)
-    if kl_population not in ("test", "train"):
-        raise ValueError(f"kl_population must be 'test' or 'train', got {kl_population!r}")
-    latent_kl, dropped = safe_latent_kl(lat_test if kl_population == "test" else lat_train)
+    recon_test = reconstruct(autoencoder, test_frames)
+    ae_test = score_frames(recon_test, test_frames, ssim_params, with_intervals=False)
+    latent_kl, dropped = safe_latent_kl(lat_test)
 
     seq_run, pred_latents, _ = _stage2(
         seq_config, seed, seq_schedule, split, tracker, "stage2",
@@ -411,7 +420,7 @@ def run_pipeline(
     timing.stage3_decode_s = time.perf_counter() - t0
 
     k = seq_config.window
-    truth = test_ds.data[:, k:].reshape(-1, *test_ds.data.shape[2:])
+    truth = _flat_frames(test[:, k:])
     prediction = score_frames(pred_frames, truth, ssim_params)
     expected = len(split.test_ids) * (dataset.data.shape[1] - k)
     assert len(pred_frames) == expected, "prediction count must be n_test * (T - window)"
@@ -445,13 +454,12 @@ def run_baseline(
     scored with the same metric suite."""
     if seq_config.output_activation != "sigmoid":
         seq_config = SeqModelConfig(**{**seq_config.to_dict(), "output_activation": "sigmoid"})
-    split, tracker, train_ds, val_ds, test_ds = _partition(
+    split, tracker, train, val, test = _partition(
         dataset, test_fraction, val_fraction, seed, split_seed
     )
     timing = PipelineTiming()
     seq_run, pred_frames, truth = _stage2(
-        seq_config, seed, seq_schedule, split, tracker, "baseline",
-        (train_ds.data, val_ds.data if val_ds is not None else None, test_ds.data), timing,
+        seq_config, seed, seq_schedule, split, tracker, "baseline", (train, val, test), timing
     )
     return PipelineResult(
         config={"autoencoder": None, "sequence_model": seq_config.to_dict()},

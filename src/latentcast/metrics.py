@@ -14,7 +14,7 @@ in one such call; ``ssim`` is the same code on a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,13 +87,7 @@ class IntervalReport:
         return [b.count for b in self.buckets]
 
     def to_dict(self) -> dict:
-        return {
-            "range_width": self.range_width,
-            "buckets": [
-                {"label": b.label, "upper": b.upper, "lower": b.lower, "count": b.count}
-                for b in self.buckets
-            ],
-        }
+        return asdict(self)
 
 
 def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
@@ -255,14 +249,7 @@ class MetricReport:
     intervals: IntervalReport | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "mse": self.mse,
-            "ssim_mean": self.ssim_mean,
-            "ssim_scores": self.ssim_scores,
-            "kl": self.kl,
-            "intervals": self.intervals.to_dict() if self.intervals else None,
-        }
+        return asdict(self)
 
 
 def score_frames(

@@ -21,7 +21,7 @@ from .nn.cells import ConvElmanCell, ConvLSTMCell, ElmanCell, GRUCell, LSTMCell,
 from .nn.layers import Conv2D, Conv3D, Dense, Layer, LeakyReLU, Reshape, Sigmoid
 from .nn.losses import LossKind
 from .nn.network import Sequential, register_model_kind
-from .nn.optim import Optimizer, OptimizerKind, make_optimizer
+from .nn.optim import Optimizer, OptimizerKind
 from .training import TrainRun, TrainSchedule, fit, predict_batched
 
 
@@ -241,21 +241,7 @@ def train_seq_model(
 ) -> TrainRun:
     if len(inputs) == 0:
         raise WindowError("no training samples")
-    schedule = schedule or TrainSchedule()
-    optimizer = optimizer or make_optimizer(model.config.optimizer, model.config.learning_rate)
-    run = TrainRun(config=model.config.to_dict(), seed=model.seed)
-    return fit(
-        model,
-        optimizer,
-        model.config.loss,
-        inputs,
-        targets,
-        val_inputs,
-        val_targets,
-        schedule,
-        model.seed,
-        run=run,
-    )
+    return fit(model, inputs, targets, val_inputs, val_targets, schedule, optimizer)
 
 
 def _build_from_spec(spec: dict) -> SeqPredictor:

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import TrainingAbortError
 from .nn.losses import LossKind, loss_with_grad
 from .nn.network import Model
-from .nn.optim import Optimizer
+from .nn.optim import Optimizer, make_optimizer
 
 logger = logging.getLogger(__name__)
 
@@ -21,9 +21,6 @@ class TrainSchedule:
     batch_size: int = 32
     max_epochs: int = 100
     patience: int = 10
-    min_delta: float = 0.0
-    shuffle: bool = True
-    restore_best: bool = True  # False keeps the last-step parameters (exact-resume runs)
 
 
 @dataclass
@@ -38,24 +35,9 @@ class TrainRun:
     final_train_loss: float = math.nan
     final_val_loss: float = math.nan
     final_test_loss: float | None = None
-    fold_mean: float | None = None
-    fold_std: float | None = None
-    checkpoint_path: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "train_curve": self.train_curve,
-            "val_curve": self.val_curve,
-            "best_epoch": self.best_epoch,
-            "final_train_loss": self.final_train_loss,
-            "final_val_loss": self.final_val_loss,
-            "final_test_loss": self.final_test_loss,
-            "fold_mean": self.fold_mean,
-            "fold_std": self.fold_std,
-            "checkpoint_path": self.checkpoint_path,
-        }
+        return asdict(self)
 
 
 def predict_batched(model: Model, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
@@ -77,33 +59,33 @@ def evaluate_loss(
 
 def fit(
     model: Model,
-    optimizer: Optimizer,
-    loss_kind: LossKind,
     train_x: np.ndarray,
     train_y: np.ndarray,
-    val_x: np.ndarray | None,
-    val_y: np.ndarray | None,
-    schedule: TrainSchedule,
-    seed: int,
-    run: TrainRun | None = None,
-    shuffle_rng: np.random.Generator | None = None,
+    val_x: np.ndarray | None = None,
+    val_y: np.ndarray | None = None,
+    schedule: TrainSchedule | None = None,
+    optimizer: Optimizer | None = None,
 ) -> TrainRun:
-    """Minibatch training; keeps and restores the best-validation snapshot.
+    """Minibatch training of a model that carries its ``config`` (loss,
+    optimizer kind, learning rate) and ``seed``; keeps and restores the
+    best-validation snapshot.
 
     With no validation set, early stopping tracks the training loss instead.
     Fully deterministic in (seed, data order, schedule).
     """
-    if run is None:
-        run = TrainRun(config={}, seed=seed)
-    loss_kind = LossKind(loss_kind)
-    rng = shuffle_rng if shuffle_rng is not None else np.random.default_rng(seed)
+    config = model.config
+    schedule = schedule or TrainSchedule()
+    optimizer = optimizer or make_optimizer(config.optimizer, config.learning_rate)
+    loss_kind = config.loss
+    run = TrainRun(config=config.to_dict(), seed=model.seed)
+    rng = np.random.default_rng(model.seed)
     n = len(train_x)
     have_val = val_x is not None and len(val_x) > 0
     best = math.inf
     best_snapshot = model.snapshot()
     stale = 0
     for epoch in range(schedule.max_epochs):
-        order = rng.permutation(n) if schedule.shuffle else np.arange(n)
+        order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, schedule.batch_size):
             idx = order[start : start + schedule.batch_size]
@@ -125,7 +107,7 @@ def fit(
         else:
             val_loss = train_loss
         logger.debug("epoch %d train=%.6g val=%.6g", epoch, train_loss, val_loss)
-        if val_loss < best - schedule.min_delta:
+        if val_loss < best:
             best = val_loss
             best_snapshot = model.snapshot()
             run.best_epoch = epoch
@@ -134,8 +116,7 @@ def fit(
             stale += 1
             if stale > schedule.patience:
                 break
-    if schedule.restore_best:
-        model.restore(best_snapshot)
+    model.restore(best_snapshot)
     run.final_train_loss = evaluate_loss(model, train_x, train_y, loss_kind, schedule.batch_size)
     run.final_val_loss = (
         evaluate_loss(model, val_x, val_y, loss_kind, schedule.batch_size)

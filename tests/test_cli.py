@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from latentcast.autoencoder import AutoencoderConfig
 from latentcast.cli import main
-from latentcast.dataio import VideoDataset, write_array_file
+from latentcast.dataio import NPY_MAGIC, VideoDataset, write_array_file
+from latentcast.experiment import run_pipeline
+from latentcast.seqmodels import SeqModelConfig
 from latentcast.synthetic import moving_sprites
+from latentcast.training import TrainSchedule
 
 
 def write_pgm(path, pixels):
@@ -159,6 +163,51 @@ class TestTrainFlow:
         assert len(rows) == 2
         assert rows[0]["fold_mean"] <= rows[1]["fold_mean"]
 
+    def test_train_ae_matches_pipeline_stage1(self, tmp_path, dataset_file):
+        split = tmp_path / "split.json"
+        assert main(["split", "--dataset", str(dataset_file), "--seed", "3",
+                     "--out", str(split)]) == 0
+        ae_dir = tmp_path / "ae"
+        assert main(["train-ae", "--dataset", str(dataset_file), "--dims", "4,8",
+                     "--loss", "mse", "--lr", "0.003", "--seed", "0", "--epochs", "2",
+                     "--batch-size", "16", "--split", str(split), "--out", str(ae_dir)]) == 0
+        cli_run = json.loads((ae_dir / "manifest.json").read_text())["extra"]["train_run"]
+
+        result = run_pipeline(
+            VideoDataset.load(dataset_file),
+            AutoencoderConfig(dims=[4, 8], loss="mse", learning_rate=0.003, input_size=16),
+            SeqModelConfig(kind="cnn3d", hidden_size=4, window=3),
+            seed=0,
+            ae_schedule=TrainSchedule(batch_size=16, max_epochs=2),
+            seq_schedule=TrainSchedule(batch_size=16, max_epochs=1),
+            split_seed=3,
+        )
+        lib_run = result.ae_run.to_dict()
+        del cli_run["final_test_loss"], lib_run["final_test_loss"]
+        assert cli_run == lib_run
+
+    @pytest.mark.parametrize("stage", ["seq", "ae"])
+    def test_gridsearch_does_not_depend_on_jobs(self, tmp_path, dataset_file, stage):
+        if stage == "seq":
+            grid = {"hidden_layers": [1], "hidden_size": [4, 8], "window": [3]}
+            data = tmp_path / "lat.npy"
+            lat = np.random.default_rng(0).normal(size=(6, 6, 2, 2, 2)).astype(np.float32)
+            write_array_file(data, lat)
+        else:
+            grid = {"dims": [[4, 8]], "loss": ["l1", "mse"], "learning_rate": [0.003]}
+            data = dataset_file
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        results = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"gs{jobs}"
+            assert main(["gridsearch", "--stage", stage, "--grid", str(grid_path),
+                         "--dataset", str(data), "--kind", "rnn", "--kfold", "2",
+                         "--jobs", jobs, "--seed", "0", "--epochs", "1",
+                         "--out", str(out_dir)]) == 0
+            results.append((out_dir / "results.json").read_text())
+        assert results[0] == results[1]
+
 
 class TestBadInputs:
     @pytest.fixture()
@@ -203,6 +252,27 @@ class TestBadInputs:
                      "--hidden", "4", "--window", "3", "--epochs", "1", "--split", str(split),
                      "--out", str(tmp_path / "seq")]) == 2
         assert capsys.readouterr().err.count(named) == 2
+
+    @pytest.mark.parametrize("broken", ["array-header", "meta"])
+    def test_malformed_dataset_file_is_data_error(self, tmp_path, dataset_file, broken):
+        if broken == "array-header":
+            header = b"{'descr': '<f4', 'fortran_order': False, 'shape': ('a',)}\n"
+            dataset_file.write_bytes(NPY_MAGIC + bytes([1, 0]) + len(header).to_bytes(2, "little")
+                                     + header)
+        else:
+            (tmp_path / "ds.npy.meta.json").write_text("{not json")
+        assert main(["split", "--dataset", str(dataset_file),
+                     "--out", str(tmp_path / "split.json")]) == 2
+
+    def test_split_without_training_ids_is_data_error(self, tmp_path, dataset_file,
+                                                      latents_file):
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps({"train_ids": [], "val_ids": [], "test_ids": [], "seed": 0}))
+        assert main(["train-ae", "--dataset", str(dataset_file), "--dims", "4,8",
+                     "--epochs", "1", "--split", str(split), "--out", str(tmp_path / "ae")]) == 2
+        assert main(["train-seq", "--latents", str(latents_file), "--kind", "cnn3d",
+                     "--hidden", "4", "--window", "3", "--epochs", "1", "--split", str(split),
+                     "--out", str(tmp_path / "seq")]) == 2
 
     def test_bench_refuses_checkpoint_missing_a_parameter(self, tmp_path, latents_file):
         ckpt = tmp_path / "seq"

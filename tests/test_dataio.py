@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentcast.dataio import (
+    NPY_MAGIC,
     DatasetSplit,
     VideoDataset,
     detect_time_axis,
@@ -21,6 +22,7 @@ from latentcast.errors import (
     GapError,
     InconsistentSequenceError,
     InsufficientDataError,
+    LatentcastError,
     TruncationError,
     UnsupportedDtypeError,
 )
@@ -30,6 +32,15 @@ def npy_bytes(tmp_path, arr: np.ndarray) -> bytes:
     path = tmp_path / "a.npy"
     write_array_file(path, arr)
     return path.read_bytes()
+
+
+def npy_with_header(fields: dict[str, str], payload: bytes = b"\0" * 24) -> bytes:
+    """An .npy v1 stream whose header dictionary holds ``fields`` as given
+    source text (defaults: a (2, 3) float32 array)."""
+    fields = {"descr": "'<f4'", "fortran_order": "False", "shape": "(2, 3)", **fields}
+    header = "{" + ", ".join(f"'{k}': {v}" for k, v in fields.items()) + "}\n"
+    raw = header.encode("latin1")
+    return NPY_MAGIC + bytes([1, 0]) + len(raw).to_bytes(2, "little") + raw + payload
 
 
 class TestNpy:
@@ -88,6 +99,23 @@ class TestNpy:
         with pytest.raises(FormatError):
             parse_array_file(blob)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("shape", "3"), ("shape", "('a',)"), ("shape", "(1.5,)"), ("shape", "(True,)"),
+         ("shape", "(-1, 2)"), ("shape", "{}"), ("shape", "[2, 3]"), ("descr", "['<f4']"),
+         ("descr", "4"), ("shape", "{[1]: 2}"), ("shape", "-" * 3000 + "1"),
+         ("shape", "-" * 7000 + "1")],
+        ids=lambda v: v if len(v) < 20 else f"{v[0]}x{len(v) - 1}",
+    )
+    def test_malformed_header_field_is_format_error(self, field, value):
+        with pytest.raises(FormatError):
+            parse_array_file(npy_with_header({field: value}))
+
+    def test_hand_built_header_parses(self):
+        shape, values = parse_array_file(npy_with_header({}))
+        assert shape == [2, 3]
+        assert values.shape == (2, 3)
+
     def test_time_axis_detection(self):
         # Moving-MNIST layout: (T, N, H, W) with T = 20
         assert detect_time_axis([20, 10000, 64, 64]) == 0
@@ -104,6 +132,54 @@ class TestNpy:
         # explicit override beats detection
         ds2 = load_sequences_npy(path, time_axis=0)
         np.testing.assert_array_equal(ds.data, ds2.data)
+
+
+VALID_NPY = npy_with_header({}, np.arange(6, dtype="<f4").tobytes())
+
+_LATIN1 = st.characters(max_codepoint=255)
+_LITERALS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(_LATIN1, max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(_LATIN1, max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def parses_or_typed_error(blob: bytes) -> None:
+    try:
+        parse_array_file(blob)
+    except LatentcastError:
+        pass
+
+
+class TestNpyFuzz:
+    """Malformed array files raise only the package's typed errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, len(VALID_NPY) - 1),
+                                    st.integers(0, 255) | st.sampled_from(b"0123456789(),.-'[]{}: ")),
+                          min_size=1, max_size=8))
+    def test_byte_mutations(self, edits):
+        blob = bytearray(VALID_NPY)
+        for pos, value in edits:
+            blob[pos] = value
+        parses_or_typed_error(bytes(blob))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cut=st.integers(0, len(VALID_NPY)))
+    def test_truncation(self, cut):
+        parses_or_typed_error(VALID_NPY[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(["descr", "fortran_order", "shape"]), value=_LITERALS)
+    def test_header_field_substitution(self, field, value):
+        parses_or_typed_error(npy_with_header({field: repr(value)}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(["descr", "fortran_order", "shape"]),
+           raw=st.binary(max_size=24))
+    def test_header_raw_substitution(self, field, raw):
+        parses_or_typed_error(npy_with_header({field: raw.decode("latin1")}))
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
@@ -123,7 +199,7 @@ class TestPnm:
             write_pgm(tmp_path / f"f{i:03d}.pgm", rng.integers(0, 256, size=(120, 160)))
         seq = load_frame_directory(tmp_path, channels=1)
         assert len(seq) == 20
-        assert seq.frame_shape == (120, 160, 1)
+        assert seq.frames.shape[1:] == (120, 160, 1)
         assert seq.frames.min() >= 0.0 and seq.frames.max() <= 1.0
 
     def test_single_black_pixel(self, tmp_path):
@@ -247,6 +323,19 @@ class TestVideoDataset:
         np.testing.assert_array_equal(back.data, data)
         assert back.ids == ds.ids
         assert back.labels == ds.labels
+
+    @pytest.mark.parametrize(
+        "meta",
+        [b"{not json", b"\xff\xfe\x00", b"[1, 2]", b'{"labels": null}', b'{"ids": "abc"}',
+         b'{"ids": ["a", "b", "c"], "labels": 7}'],
+        ids=["invalid-json", "binary", "not-object", "no-ids", "ids-not-list", "labels-not-list"],
+    )
+    def test_bad_meta_is_data_error(self, tmp_path, meta):
+        path = tmp_path / "ds.npy"
+        write_array_file(path, np.zeros((3, 2, 4, 4, 1), dtype=np.float32))
+        (tmp_path / "ds.npy.meta.json").write_bytes(meta)
+        with pytest.raises(DataError):
+            VideoDataset.load(path)
 
     def test_select_preserves_order(self):
         data = np.zeros((3, 2, 8, 8, 1), dtype=np.float32)
