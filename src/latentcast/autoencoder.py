@@ -53,12 +53,6 @@ class AutoencoderConfig:
         side = self.input_size // (2 ** len(self.dims))
         return (side, side, self.dims[-1])
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["loss"] = self.loss.value
-        d["optimizer"] = self.optimizer.value
-        return d
-
 
 class Autoencoder(Model):
     def __init__(self, config: AutoencoderConfig, seed: int):
@@ -103,7 +97,7 @@ class Autoencoder(Model):
         return self.encoder.backward(self.decoder.backward(dy))
 
     def spec(self):
-        return {"model_kind": "autoencoder", "config": self.config.to_dict(), "seed": self.seed}
+        return {"model_kind": "autoencoder", "config": asdict(self.config), "seed": self.seed}
 
 
 def build_autoencoder(config: AutoencoderConfig, seed: int = 0) -> Autoencoder:

@@ -8,18 +8,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import AutoencoderConfig, encode_dataset
+from .autoencoder import AutoencoderConfig, decode, encode_dataset
 from .dataio import (
     DatasetSplit,
+    FrameSequence,
     VideoDataset,
     load_frame_directory,
     load_sequences_npy,
     parse_array_file,
     split_sequences,
+    write_array_file,
 )
 from .errors import DataError, FormatError, LatentcastError, TrainingAbortError
 from .experiment import (
@@ -27,12 +30,13 @@ from .experiment import (
     emit_report,
     fit_autoencoder,
     fit_predictor,
+    forecast,
     grid_search_ae,
     grid_search_seq,
     safe_latent_kl,
 )
-from .metrics import bucketize_intervals, mae, mse, score_frames
-from .nn.network import load_checkpoint, save_checkpoint
+from .metrics import score_frames
+from .nn.network import Model, load_checkpoint, save_checkpoint
 from .preprocess import PreprocessSpec, preprocess_dataset, stratified_subset, verify_continuity
 from .seqmodels import SeqModelConfig, SeqModelKind, window_dataset
 from .training import TrainSchedule
@@ -121,6 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
     _schedule_args(p)
     p.add_argument("--out", required=True)
 
+    p = sub.add_parser("predict", help="forecast and decode the next frames of test sequences")
+    p.add_argument("--ae-ckpt", required=True)
+    p.add_argument("--seq-ckpt", required=True)
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--split", default=None, help="split.json whose test ids to forecast")
+    p.add_argument("--out", required=True, help="directory for pred.npy, truth.npy, predict.json")
+
     p = sub.add_parser("gridsearch", help="grid search with K-fold validation")
     p.add_argument("--stage", choices=["ae", "seq"], required=True)
     p.add_argument("--grid", required=True, help="JSON object of axis name -> value list")
@@ -129,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kfold", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--split", default=None, help="split.json keeping its test ids out of selection")
     _schedule_args(p)
     p.add_argument("--out", required=True)
 
@@ -144,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score predicted frames against ground truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--metrics", default="mae,mse,ssim,kl")
     p.add_argument("--intervals", action="store_true")
     p.add_argument("--out", required=True)
 
@@ -213,37 +224,40 @@ def _cmd_preprocess(args) -> int:
     out = preprocess_dataset(ds, spec)
     out.save(args.out)
     if args.continuity_report:
-        from .dataio import FrameSequence
-
-        rows = []
-        for i in range(len(out)):
-            rep = verify_continuity(FrameSequence(out.ids[i], out.data[i]))
-            rows.append(
-                {
-                    "id": out.ids[i],
-                    "monotone_fraction": rep.monotone_fraction,
-                    "per_lag_mean_distance": rep.per_lag_mean_distance,
-                    "skipped_frames": rep.skipped_frames,
-                }
-            )
+        rows = [{"id": seq_id, **asdict(verify_continuity(FrameSequence(seq_id, frames)))}
+                for seq_id, frames in zip(out.ids, out.data)]
         Path(args.continuity_report).write_text(json.dumps(rows, indent=2))
     print(f"wrote {out.data.shape} dataset to {args.out}")
     return 0
 
 
-def _select_split(path: str, split_path: str | None) -> tuple[np.ndarray, np.ndarray | None]:
+def _read_split(path: str | None) -> DatasetSplit | None:
+    return None if path is None else DatasetSplit.from_json(Path(path).read_bytes())
+
+
+def _select_split(
+    ds: VideoDataset, split: DatasetSplit | None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The train and validation sequences of a dataset or latents file: the
-    split file's train/val ids, else every sequence and no validation."""
-    ds = VideoDataset.load(path)
-    if split_path is None:
+    split's train/val ids, else every sequence and no validation."""
+    if split is None:
         return ds.data, None
-    split = DatasetSplit.from_json(Path(split_path).read_bytes())
     val = ds.select(split.val_ids).data if split.val_ids else None
     return ds.select(split.train_ids).data, val
 
 
+def _load_model(path: str, kind: str) -> Model:
+    """The model of a checkpoint, which must hold a ``kind`` model
+    (``autoencoder`` or ``seq_predictor``)."""
+    model, _, manifest = load_checkpoint(path)
+    found = manifest["model"].get("model_kind")
+    if found != kind:
+        raise FormatError(f"{path} holds a {found} checkpoint, expected {kind}")
+    return model
+
+
 def _cmd_train_ae(args) -> int:
-    train, val = _select_split(args.dataset, args.split)
+    train, val = _select_split(VideoDataset.load(args.dataset), _read_split(args.split))
     config = AutoencoderConfig(
         dims=args.dims,
         loss=args.loss,
@@ -262,7 +276,7 @@ def _cmd_train_ae(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    model, _, _ = load_checkpoint(args.ckpt)
+    model = _load_model(args.ckpt, "autoencoder")
     ds = VideoDataset.load(args.dataset)
     latents = encode_dataset(model, ds.data)
     VideoDataset(latents, ds.ids, ds.labels).save(args.out)
@@ -271,7 +285,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train_seq(args) -> int:
-    train, val = _select_split(args.latents, args.split)
+    train, val = _select_split(VideoDataset.load(args.latents), _read_split(args.split))
     config = SeqModelConfig(
         kind=args.kind,
         hidden_size=args.hidden,
@@ -295,22 +309,25 @@ def _cmd_gridsearch(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     schedule = _schedule(args)
+    ds = VideoDataset.load(args.dataset)
+    split = _read_split(args.split)
     if args.stage == "seq":
         if args.kind is None:
             raise FormatError("--kind is required for the seq stage")
-        latents = VideoDataset.load(args.dataset).data
+        if split is not None:
+            ds = ds.select(split.train_ids + split.val_ids)
         ranked = grid_search_seq(
-            grid, SeqModelKind(args.kind), latents, args.kfold, args.seed, schedule, args.jobs
+            grid, SeqModelKind(args.kind), ds.data, args.kfold, args.seed, schedule, args.jobs
         )
         rows = [
             {"config": values, "fold_mean": fs.mean, "fold_std": fs.std, "fold_losses": fs.losses}
             for values, fs in ranked
         ]
     else:
-        ds = VideoDataset.load(args.dataset)
-        split = split_sequences(ds.ids, 0.2, 0.2, args.seed)
-        ranked = grid_search_ae(grid, ds.select(split.train_ids).data,
-                                ds.select(split.val_ids).data, args.seed, schedule, args.jobs)
+        train, val = _select_split(ds, split or split_sequences(ds.ids, 0.2, 0.2, args.seed))
+        if val is None:
+            raise DataError("the validation partition is empty: --stage ae ranks configs on it")
+        ranked = grid_search_ae(grid, train, val, args.seed, schedule, args.jobs)
         rows = [{"config": values, "val_mse": value} for values, value in ranked]
     (out_dir / "results.json").write_text(json.dumps(rows, indent=2))
     best = rows[0]
@@ -319,12 +336,9 @@ def _cmd_gridsearch(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    model, _, manifest = load_checkpoint(args.ckpt)
-    if manifest["model"].get("model_kind") != "seq_predictor":
-        raise FormatError("bench expects a predictor checkpoint (train-seq output)")
+    model = _load_model(args.ckpt, "seq_predictor")
     values = VideoDataset.load(args.latents or args.frames).data
-    window = manifest["model"]["config"]["window"]
-    inputs, _, _ = window_dataset(values[: min(8, len(values))], window)
+    inputs, _, _ = window_dataset(values[: min(8, len(values))], model.config.window)
     report = benchmark_inference(model, inputs, warmup=args.warmup, iters=args.iters)
     text = json.dumps(report.to_dict(), indent=2)
     if args.out:
@@ -333,32 +347,39 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _cmd_predict(args) -> int:
+    autoencoder = _load_model(args.ae_ckpt, "autoencoder")
+    model = _load_model(args.seq_ckpt, "seq_predictor")
+    ds = VideoDataset.load(args.dataset)
+    split = _read_split(args.split)
+    if split is not None:
+        if not split.test_ids:
+            raise DataError(f"split file {args.split} names no test sequences")
+        ds = ds.select(split.test_ids)
+    latents = encode_dataset(autoencoder, ds.data)
+    kl, dropped = safe_latent_kl(latents)
+    loss, pred_latents, _ = forecast(model, latents)
+    pred = decode(autoencoder, pred_latents.astype(np.float32, copy=False))
+    truth = ds.data[:, model.config.window :]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_array_file(out / "pred.npy", pred)
+    write_array_file(out / "truth.npy", truth.reshape(pred.shape))
+    doc = {"n_predictions": len(pred), "test_loss": loss, "kl": kl, "kl_dropped_units": dropped}
+    (out / "predict.json").write_text(json.dumps(doc, indent=2))
+    print(f"wrote {len(pred)} predicted frames to {out}")
+    return 0
+
+
 def _cmd_evaluate(args) -> int:
-    wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     shape_p, pred = parse_array_file(Path(args.pred).read_bytes())
     shape_t, truth = parse_array_file(Path(args.truth).read_bytes())
     if shape_p != shape_t:
         raise FormatError(f"pred shape {shape_p} != truth shape {shape_t}")
     pred = pred.reshape(-1, *shape_p[-3:]) if len(shape_p) > 4 else pred
     truth = truth.reshape(pred.shape)
-    if pred.ndim == 3:
-        pred, truth = pred[..., None], truth[..., None]
-    doc: dict = {"n_frames": int(pred.shape[0])}
-    if "mae" in wanted:
-        doc["mae"] = mae(pred, truth)
-    if "mse" in wanted:
-        doc["mse"] = mse(pred, truth)
-    scores = None
-    if "ssim" in wanted or args.intervals:
-        scores = score_frames(pred, truth, with_intervals=False).ssim_scores
-        doc["ssim_mean"] = float(np.mean(scores))
-        doc["ssim_scores"] = scores
-    if "kl" in wanted:
-        value, dropped = safe_latent_kl(pred[:, None])
-        doc["kl"] = value
-        doc["kl_dropped_units"] = dropped
-    if args.intervals and scores is not None:
-        doc["intervals"] = bucketize_intervals(scores).to_dict()
+    report = score_frames(pred, truth, with_intervals=args.intervals)
+    doc = {"n_frames": int(pred.shape[0]), **report.to_dict()}
     Path(args.out).write_text(json.dumps(doc, indent=2))
     summary = {k: v for k, v in doc.items() if isinstance(v, (int, float))}
     print(json.dumps(summary, indent=2))
@@ -374,17 +395,7 @@ def _cmd_report(args) -> int:
     ]
     if not runs:
         raise FormatError(f"no run JSON files in {runs_dir}")
-    intervals = None
-    for run in runs:
-        if run.get("intervals"):
-            from .metrics import IntervalBucket, IntervalReport
-
-            d = run["intervals"]
-            intervals = IntervalReport(
-                buckets=[IntervalBucket(**b) for b in d["buckets"]],
-                range_width=d["range_width"],
-            )
-            break
+    intervals = next((run["intervals"] for run in runs if run.get("intervals")), None)
     emit_report(runs, args.out, intervals=intervals, svg_path=args.svg)
     print(f"wrote report for {len(runs)} runs to {args.out}")
     return 0
@@ -397,6 +408,7 @@ _COMMANDS = {
     "train-ae": _cmd_train_ae,
     "extract": _cmd_extract,
     "train-seq": _cmd_train_seq,
+    "predict": _cmd_predict,
     "gridsearch": _cmd_gridsearch,
     "bench": _cmd_bench,
     "evaluate": _cmd_evaluate,

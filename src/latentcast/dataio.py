@@ -115,9 +115,6 @@ class VideoDataset:
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    def sequence(self, seq_id: str) -> np.ndarray:
-        return self.data[index_ids(self.ids, [seq_id])[0]]
-
     def select(self, ids: list[str]) -> "VideoDataset":
         idx = index_ids(self.ids, ids)
         labels = [self.labels[i] for i in idx] if self.labels is not None else None
@@ -231,7 +228,10 @@ def parse_array_file(data: bytes) -> tuple[list[int], np.ndarray]:
         raise TruncationError(
             f"payload holds {len(payload)} bytes, shape {tuple(shape)} needs {count * dtype.itemsize}"
         )
-    values = np.frombuffer(payload, dtype=dtype, count=count).reshape(shape)
+    try:  # a zero extent passes the size check whatever the other extents are
+        values = np.frombuffer(payload, dtype=dtype, count=count).reshape(shape)
+    except ValueError as exc:
+        raise FormatError(f"shape {tuple(shape)} cannot be held: {exc}") from exc
     if dtype == np.uint8:
         values = values.astype(np.float32) / 255.0
     return shape, values
@@ -332,11 +332,15 @@ def _parse_pnm(data: bytes, path: Path) -> np.ndarray:
             end = pos
             while end < len(data) and data[end : end + 1].isdigit():
                 end += 1
+            if end - pos > 9:  # also keeps int() below its digit limit
+                raise FormatError(f"{path.name}: PNM header field over 9 digits")
             fields.append(int(data[pos:end]))
             pos = end
         else:
             raise FormatError(f"{path.name}: malformed PNM header")
     width, height, maxval = fields
+    if width == 0 or height == 0:
+        raise FormatError(f"{path.name}: frame is {width}x{height}, needs at least one pixel")
     if maxval != 255:
         raise FormatError(f"{path.name}: maxval must be 255, got {maxval}")
     pos += 1  # single whitespace byte after maxval

@@ -10,7 +10,7 @@ import math
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +27,7 @@ from .autoencoder import (
 )
 from .dataio import DatasetSplit, VideoDataset, split_sequences
 from .errors import FoldError, GridError, LeakageError
-from .metrics import (
-    IntervalReport,
-    LatentStats,
-    MetricReport,
-    SSIMParams,
-    kl_gauss,
-    latent_stats,
-    score_frames,
-)
+from .metrics import LatentStats, MetricReport, kl_gauss, latent_stats, score_frames
 from .nn.network import Model
 from .seqmodels import (
     LAYERED_KINDS,
@@ -241,16 +233,8 @@ class PipelineTiming:
         return self.stage2_s + self.stage1_plus_3_s
 
     def to_dict(self) -> dict:
-        return {
-            "stage1_train_s": self.stage1_train_s,
-            "stage1_encode_s": self.stage1_encode_s,
-            "stage2_train_s": self.stage2_train_s,
-            "stage2_predict_s": self.stage2_predict_s,
-            "stage3_decode_s": self.stage3_decode_s,
-            "stage2_s": self.stage2_s,
-            "stage1_plus_3_s": self.stage1_plus_3_s,
-            "total_s": self.total_s,
-        }
+        return {**asdict(self), "stage2_s": self.stage2_s,
+                "stage1_plus_3_s": self.stage1_plus_3_s, "total_s": self.total_s}
 
 
 @dataclass
@@ -324,6 +308,15 @@ def _partition(
             dataset.select(split.test_ids).data)
 
 
+def forecast(model: SeqPredictor, sequences: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Stage-2 test: window the (N, T, ...) sequences, score the model's loss
+    on the windows and predict each window's next frame. Returns the loss,
+    the predictions and the targets, both (N * (T - window), ...)."""
+    inputs, targets, _ = window_dataset(sequences, model.config.window)
+    loss = evaluate_loss(model, inputs, targets, model.config.loss)
+    return loss, predict_next(model, inputs), targets
+
+
 def _stage2(
     seq_config: SeqModelConfig,
     seed: int,
@@ -334,9 +327,9 @@ def _stage2(
     sequences: tuple[np.ndarray, np.ndarray | None, np.ndarray],
     timing: PipelineTiming,
 ) -> tuple[TrainRun, np.ndarray, np.ndarray]:
-    """Train the predictor on the (train, val) sequence arrays, score its
-    test loss and predict every test window's next frame. Fills the stage-2
-    timings; returns the run, the predictions and the test targets."""
+    """Train the predictor on the (train, val) sequence arrays, then
+    ``forecast`` the test sequences. Fills the stage-2 timings; returns the
+    run, the predictions and the test targets."""
     train, val, test = sequences
     tracker.use(split.train_ids, f"{role}-train")
     if val is not None:
@@ -345,13 +338,10 @@ def _stage2(
     model, seq_run = fit_predictor(seq_config, seed, train, val, schedule)
     timing.stage2_train_s = time.perf_counter() - t0
 
-    te_in, te_tg, _ = window_dataset(test, seq_config.window)
-    seq_run.final_test_loss = evaluate_loss(model, te_in, te_tg, seq_config.loss)
-
     t0 = time.perf_counter()
-    pred = predict_next(model, te_in)
+    seq_run.final_test_loss, pred, targets = forecast(model, test)
     timing.stage2_predict_s = time.perf_counter() - t0
-    return seq_run, pred, te_tg
+    return seq_run, pred, targets
 
 
 def run_pipeline(
@@ -363,12 +353,10 @@ def run_pipeline(
     seq_schedule: TrainSchedule | None = None,
     test_fraction: float = 0.2,
     val_fraction: float = 0.2,
-    autoencoder: Autoencoder | None = None,
-    ssim_params: SSIMParams | None = None,
     split_seed: int | None = None,
     standardize_latents: bool = False,
 ) -> PipelineResult:
-    """Three stages end to end: train/reuse the autoencoder, train the
+    """Three stages end to end: train the autoencoder, train the
     predictor on latent windows, decode predicted test latents and score
     them against the ground-truth next frames.
 
@@ -383,13 +371,11 @@ def run_pipeline(
     timing = PipelineTiming()
 
     tracker.use(split.train_ids, "stage1-train")
-    ae_run = None
+    if val is not None:
+        tracker.use(split.val_ids, "stage1-val")
     t0 = time.perf_counter()
-    if autoencoder is None:
-        if val is not None:
-            tracker.use(split.val_ids, "stage1-val")
-        autoencoder, ae_run = fit_autoencoder(ae_config, seed, train, val, ae_schedule)
-        ae_run.final_test_loss = evaluate_loss(autoencoder, test_frames, test_frames, "mse")
+    autoencoder, ae_run = fit_autoencoder(ae_config, seed, train, val, ae_schedule)
+    ae_run.final_test_loss = evaluate_loss(autoencoder, test_frames, test_frames, "mse")
     timing.stage1_train_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -405,7 +391,7 @@ def run_pipeline(
     timing.stage1_encode_s = time.perf_counter() - t0
 
     recon_test = reconstruct(autoencoder, test_frames)
-    ae_test = score_frames(recon_test, test_frames, ssim_params, with_intervals=False)
+    ae_test = score_frames(recon_test, test_frames, with_intervals=False)
     latent_kl, dropped = safe_latent_kl(lat_test)
 
     seq_run, pred_latents, _ = _stage2(
@@ -421,12 +407,12 @@ def run_pipeline(
 
     k = seq_config.window
     truth = _flat_frames(test[:, k:])
-    prediction = score_frames(pred_frames, truth, ssim_params)
+    prediction = score_frames(pred_frames, truth)
     expected = len(split.test_ids) * (dataset.data.shape[1] - k)
     assert len(pred_frames) == expected, "prediction count must be n_test * (T - window)"
 
     return PipelineResult(
-        config={"autoencoder": ae_config.to_dict(), "sequence_model": seq_config.to_dict()},
+        config={"autoencoder": asdict(ae_config), "sequence_model": asdict(seq_config)},
         seed=seed,
         split=split,
         seq_run=seq_run,
@@ -447,13 +433,11 @@ def run_baseline(
     seq_schedule: TrainSchedule | None = None,
     test_fraction: float = 0.2,
     val_fraction: float = 0.2,
-    ssim_params: SSIMParams | None = None,
     split_seed: int | None = None,
 ) -> PipelineResult:
     """Same predictor trained directly on raw frames (sigmoid output head),
     scored with the same metric suite."""
-    if seq_config.output_activation != "sigmoid":
-        seq_config = SeqModelConfig(**{**seq_config.to_dict(), "output_activation": "sigmoid"})
+    seq_config = replace(seq_config, output_activation="sigmoid")
     split, tracker, train, val, test = _partition(
         dataset, test_fraction, val_fraction, seed, split_seed
     )
@@ -462,11 +446,11 @@ def run_baseline(
         seq_config, seed, seq_schedule, split, tracker, "baseline", (train, val, test), timing
     )
     return PipelineResult(
-        config={"autoencoder": None, "sequence_model": seq_config.to_dict()},
+        config={"autoencoder": None, "sequence_model": asdict(seq_config)},
         seed=seed,
         split=split,
         seq_run=seq_run,
-        prediction=score_frames(pred_frames, truth, ssim_params),
+        prediction=score_frames(pred_frames, truth),
         timing=timing,
         n_predictions=len(pred_frames),
     )
@@ -530,19 +514,21 @@ def benchmark_inference(
 # ---------------------------------------------------------------------------
 
 
-def interval_histogram_svg(report: IntervalReport, width: int = 480, height: int = 300) -> str:
-    """Bar chart of the four interval counts as a standalone SVG document."""
+def interval_histogram_svg(intervals: dict, width: int = 480, height: int = 300) -> str:
+    """Bar chart of the four interval counts of an ``IntervalReport.to_dict()``
+    as a standalone SVG document."""
     margin = 40
     bar_zone = width - 2 * margin
-    bar_w = bar_zone // len(report.buckets)
-    peak = max(b.count for b in report.buckets) or 1
+    buckets = intervals["buckets"]
+    bar_w = bar_zone // len(buckets)
+    peak = max(b["count"] for b in buckets) or 1
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<text x="{width // 2}" y="18" text-anchor="middle" font-size="13">'
-        f"SSIM intervals (range width {report.range_width:.4f})</text>",
+        f"SSIM intervals (range width {intervals['range_width']:.4f})</text>",
     ]
-    for i, b in enumerate(report.buckets):
-        bh = int((height - 2 * margin) * b.count / peak)
+    for i, b in enumerate(buckets):
+        bh = int((height - 2 * margin) * b["count"] / peak)
         x = margin + i * bar_w
         y = height - margin - bh
         parts.append(
@@ -550,11 +536,11 @@ def interval_histogram_svg(report: IntervalReport, width: int = 480, height: int
         )
         parts.append(
             f'<text x="{x + bar_w // 2}" y="{height - margin + 14}" text-anchor="middle" '
-            f'font-size="11">{b.label}</text>'
+            f'font-size="11">{b["label"]}</text>'
         )
         parts.append(
             f'<text x="{x + bar_w // 2}" y="{max(y - 4, 12)}" text-anchor="middle" '
-            f'font-size="11">{b.count}</text>'
+            f'font-size="11">{b["count"]}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)
@@ -564,11 +550,12 @@ def emit_report(
     runs: list[dict],
     out_path: str | Path,
     bench: BenchReport | None = None,
-    intervals: IntervalReport | None = None,
+    intervals: dict | None = None,
     svg_path: str | Path | None = None,
 ) -> dict:
     """Write the consolidated JSON report; rows of the comparison table are
-    sorted by test SSIM descending. Returns the document."""
+    sorted by test SSIM descending. ``intervals`` is an
+    ``IntervalReport.to_dict()``. Returns the document."""
     if not runs:
         raise ValueError("emit_report needs at least one run")
 
@@ -591,7 +578,7 @@ def emit_report(
     if bench is not None:
         doc["benchmark"] = bench.to_dict()
     if intervals is not None:
-        doc["intervals"] = intervals.to_dict()
+        doc["intervals"] = intervals
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(doc, indent=2))

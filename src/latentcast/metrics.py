@@ -245,7 +245,6 @@ class MetricReport:
     mse: float
     ssim_mean: float
     ssim_scores: list[float] = field(default_factory=list)
-    kl: float | None = None
     intervals: IntervalReport | None = None
 
     def to_dict(self) -> dict:

@@ -68,13 +68,6 @@ class SeqModelConfig:
         if self.output_activation not in ("linear", "sigmoid"):
             raise ConfigError(f"unknown output activation {self.output_activation!r}")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["kind"] = self.kind.value
-        d["loss"] = self.loss.value
-        d["optimizer"] = self.optimizer.value
-        return d
-
 
 def make_windows(seq: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Sliding stride-1 windows over a (T, ...) sequence: inputs t..t+k-1
@@ -136,7 +129,7 @@ class SeqPredictor(Sequential):
     def spec(self) -> dict:
         return {
             "model_kind": "seq_predictor",
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "latent_shape": list(self.latent_shape),
             "seed": self.seed,
         }

@@ -77,7 +77,7 @@ def fit(
     schedule = schedule or TrainSchedule()
     optimizer = optimizer or make_optimizer(config.optimizer, config.learning_rate)
     loss_kind = config.loss
-    run = TrainRun(config=config.to_dict(), seed=model.seed)
+    run = TrainRun(config=asdict(config), seed=model.seed)
     rng = np.random.default_rng(model.seed)
     n = len(train_x)
     have_val = val_x is not None and len(val_x) > 0

@@ -1,10 +1,12 @@
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latentcast.autoencoder import AutoencoderConfig
-from latentcast.cli import main
+from latentcast.cli import _COMMANDS, build_parser, main
 from latentcast.dataio import NPY_MAGIC, VideoDataset, write_array_file
 from latentcast.experiment import run_pipeline
 from latentcast.seqmodels import SeqModelConfig
@@ -209,6 +211,76 @@ class TestTrainFlow:
         assert results[0] == results[1]
 
 
+    @pytest.mark.parametrize("kind, layers", [("convlstm", "1"), ("rnn", "1")])
+    def test_cli_chain_matches_pipeline(self, tmp_path, dataset_file, kind, layers):
+        split, ae_dir, latents = tmp_path / "split.json", tmp_path / "ae", tmp_path / "lat.npy"
+        seq_dir, pred_dir, scores = tmp_path / "seq", tmp_path / "pred", tmp_path / "eval.json"
+        schedule = ["--epochs", "2", "--batch-size", "16"]
+        assert main(["split", "--dataset", str(dataset_file), "--seed", "3",
+                     "--out", str(split)]) == 0
+        assert main(["train-ae", "--dataset", str(dataset_file), "--dims", "4,8",
+                     "--loss", "mse", "--lr", "0.003", "--seed", "0", "--split", str(split),
+                     *schedule, "--out", str(ae_dir)]) == 0
+        assert main(["extract", "--ckpt", str(ae_dir), "--dataset", str(dataset_file),
+                     "--out", str(latents)]) == 0
+        assert main(["train-seq", "--latents", str(latents), "--kind", kind, "--layers", layers,
+                     "--hidden", "4", "--window", "3", "--lr", "0.003", "--seed", "0",
+                     "--split", str(split), *schedule, "--out", str(seq_dir)]) == 0
+        assert main(["predict", "--ae-ckpt", str(ae_dir), "--seq-ckpt", str(seq_dir),
+                     "--dataset", str(dataset_file), "--split", str(split),
+                     "--out", str(pred_dir)]) == 0
+        assert main(["evaluate", "--pred", str(pred_dir / "pred.npy"),
+                     "--truth", str(pred_dir / "truth.npy"), "--out", str(scores)]) == 0
+        cli = json.loads(scores.read_text())
+        predicted = json.loads((pred_dir / "predict.json").read_text())
+
+        lib = run_pipeline(
+            VideoDataset.load(dataset_file),
+            AutoencoderConfig(dims=[4, 8], loss="mse", learning_rate=0.003, input_size=16),
+            SeqModelConfig(kind=kind, hidden_size=4, hidden_layers=int(layers), window=3,
+                           learning_rate=0.003),
+            seed=0,
+            ae_schedule=TrainSchedule(batch_size=16, max_epochs=2),
+            seq_schedule=TrainSchedule(batch_size=16, max_epochs=2),
+            split_seed=3,
+        ).to_dict()
+        assert cli["mae"] == lib["metrics"]["mae"]
+        assert cli["mse"] == lib["metrics"]["mse"]
+        assert cli["ssim_mean"] == lib["metrics"]["ssim"]
+        assert cli["ssim_scores"] == lib["ssim_scores"]
+        assert cli["n_frames"] == predicted["n_predictions"] == lib["n_predictions"]
+        assert predicted["kl"] == lib["metrics"]["kl"]
+        assert predicted["test_loss"] == lib["seq_run"]["final_test_loss"]
+
+    @pytest.mark.parametrize("stage", ["seq", "ae"])
+    def test_gridsearch_split_keeps_test_sequences_out(self, tmp_path, dataset_file, stage):
+        if stage == "seq":
+            grid = {"hidden_layers": [1], "hidden_size": [4], "window": [3]}
+            data = tmp_path / "lat.npy"
+            lat = np.random.default_rng(0).normal(size=(8, 6, 2, 2, 2)).astype(np.float32)
+            VideoDataset(lat, VideoDataset.load(dataset_file).ids).save(data)
+        else:
+            grid = {"dims": [[4, 8]], "loss": ["l1", "mse"], "learning_rate": [0.003]}
+            data = dataset_file
+        grid_path, split = tmp_path / "grid.json", tmp_path / "split.json"
+        grid_path.write_text(json.dumps(grid))
+        assert main(["split", "--dataset", str(data), "--seed", "3", "--out", str(split)]) == 0
+        results = []
+        for fill in (None, 0.5):
+            if fill is not None:  # overwrite the test sequences' frames
+                ds = VideoDataset.load(data)
+                frames = ds.data.copy()
+                frames[[ds.ids.index(i) for i in json.loads(split.read_text())["test_ids"]]] = fill
+                VideoDataset(frames, ds.ids, ds.labels).save(data)
+            out_dir = tmp_path / f"gs{fill}"
+            assert main(["gridsearch", "--stage", stage, "--grid", str(grid_path),
+                         "--dataset", str(data), "--kind", "rnn", "--kfold", "2",
+                         "--split", str(split), "--seed", "0", "--epochs", "1",
+                         "--out", str(out_dir)]) == 0
+            results.append((out_dir / "results.json").read_bytes())
+        assert results[0] == results[1]
+
+
 class TestBadInputs:
     @pytest.fixture()
     def latents_file(self, tmp_path):
@@ -274,6 +346,40 @@ class TestBadInputs:
                      "--hidden", "4", "--window", "3", "--epochs", "1", "--split", str(split),
                      "--out", str(tmp_path / "seq")]) == 2
 
+    def test_gridsearch_ae_without_validation_ids_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "ds.npy"
+        moving_sprites(4, length=8, size=16, sprite_size=5, seed=0).save(data)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"dims": [[4, 8]]}))
+        assert main(["gridsearch", "--stage", "ae", "--grid", str(grid), "--dataset", str(data),
+                     "--epochs", "1", "--out", str(tmp_path / "gs")]) == 2
+        assert "validation partition is empty" in capsys.readouterr().err
+
+    def test_predict_checks_checkpoint_kinds_and_test_ids(self, tmp_path, dataset_file):
+        ae_dir, seq_dir, lat = tmp_path / "ae", tmp_path / "seq", tmp_path / "lat.npy"
+        assert main(["train-ae", "--dataset", str(dataset_file), "--dims", "4,8",
+                     "--epochs", "1", "--out", str(ae_dir)]) == 0
+        assert main(["extract", "--ckpt", str(ae_dir), "--dataset", str(dataset_file),
+                     "--out", str(lat)]) == 0
+        assert main(["train-seq", "--latents", str(lat), "--kind", "cnn3d", "--hidden", "4",
+                     "--window", "3", "--epochs", "1", "--out", str(seq_dir)]) == 0
+
+        def predict(ae, seq, *split):
+            return main(["predict", "--ae-ckpt", str(ae), "--seq-ckpt", str(seq),
+                         "--dataset", str(dataset_file), *split, "--out", str(tmp_path / "p")])
+
+        assert predict(seq_dir, seq_dir) == 2
+        assert predict(ae_dir, ae_dir) == 2
+        assert main(["extract", "--ckpt", str(seq_dir), "--dataset", str(dataset_file),
+                     "--out", str(tmp_path / "lat2.npy")]) == 2
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps({"train_ids": VideoDataset.load(dataset_file).ids,
+                                     "val_ids": [], "test_ids": [], "seed": 0}))
+        assert predict(ae_dir, seq_dir, "--split", str(split)) == 2
+        assert predict(ae_dir, seq_dir) == 0  # every sequence without a split
+        n, t = VideoDataset.load(dataset_file).data.shape[:2]
+        assert json.loads((tmp_path / "p" / "predict.json").read_text())["n_predictions"] == n * (t - 3)
+
     def test_bench_refuses_checkpoint_missing_a_parameter(self, tmp_path, latents_file):
         ckpt = tmp_path / "seq"
         assert main(["train-seq", "--latents", str(latents_file), "--kind", "cnn3d",
@@ -295,10 +401,10 @@ class TestEvaluateReport:
         write_array_file(p_truth, truth)
         out = tmp_path / "eval.json"
         code = main(["evaluate", "--pred", str(p_pred), "--truth", str(p_truth),
-                     "--metrics", "mae,mse,ssim,kl", "--intervals", "--out", str(out)])
+                     "--intervals", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert set(doc) >= {"mae", "mse", "ssim_mean", "ssim_scores", "kl", "intervals"}
+        assert set(doc) >= {"mae", "mse", "ssim_mean", "ssim_scores", "intervals"}
         assert len(doc["ssim_scores"]) == 6
         assert sum(b["count"] for b in doc["intervals"]["buckets"]) == 6
 
@@ -323,3 +429,13 @@ class TestEvaluateReport:
         write_array_file(b, np.zeros((3, 16, 16, 1), dtype=np.float32))
         assert main(["evaluate", "--pred", str(a), "--truth", str(b),
                      "--out", str(tmp_path / "o.json")]) == 2
+
+
+def test_every_command_is_dispatched_and_documented():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_block = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    for command in sub.choices:
+        assert command in _COMMANDS
+        assert f"latentcast {command} " in cli_block, command
+    assert set(_COMMANDS) == set(sub.choices)

@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from latentcast.dataio import (
     NPY_MAGIC,
     DatasetSplit,
+    _parse_pnm,
     VideoDataset,
     detect_time_axis,
     load_frame_directory,
@@ -104,7 +107,7 @@ class TestNpy:
         [("shape", "3"), ("shape", "('a',)"), ("shape", "(1.5,)"), ("shape", "(True,)"),
          ("shape", "(-1, 2)"), ("shape", "{}"), ("shape", "[2, 3]"), ("descr", "['<f4']"),
          ("descr", "4"), ("shape", "{[1]: 2}"), ("shape", "-" * 3000 + "1"),
-         ("shape", "-" * 7000 + "1")],
+         ("shape", "-" * 7000 + "1"), ("shape", "(0, 1518494220, 1518506280)")],
         ids=lambda v: v if len(v) < 20 else f"{v[0]}x{len(v) - 1}",
     )
     def test_malformed_header_field_is_format_error(self, field, value):
@@ -241,6 +244,71 @@ class TestPnm:
         (tmp_path / "f0.pgm").write_bytes(b"P5\n# a comment\n2 2 255\n" + b"\x01\x02\x03\x04")
         seq = load_frame_directory(tmp_path, channels=1)
         assert seq.frames.shape == (1, 2, 2, 1)
+
+
+    @pytest.mark.parametrize("width, height", [(0, 0), (3, 0), (0, 2)])
+    def test_zero_size_frame_is_format_error(self, tmp_path, width, height):
+        (tmp_path / "f0.pgm").write_bytes(b"P5 %d %d 255\n" % (width, height))
+        with pytest.raises(FormatError):
+            load_frame_directory(tmp_path, channels=1)
+
+    def test_overlong_header_field_is_format_error(self):
+        with pytest.raises(FormatError):
+            _parse_pnm(b"P5 " + b"9" * 5000 + b" 2 255\n", Path("f0.pgm"))
+
+
+PNM_FIELDS = {"magic": b"P5", "width": b"3", "height": b"2", "maxval": b"255"}
+VALID_PGM = b"P5 3 2 255\n" + bytes(range(6))
+
+
+def pnm_parses_or_typed_error(blob: bytes) -> None:
+    try:
+        _parse_pnm(blob, Path("f0.pgm"))
+    except LatentcastError:
+        pass
+
+
+class TestPnmFuzz:
+    """Malformed PGM files raise only the package's typed errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, len(VALID_PGM) - 1),
+                                    st.integers(0, 255) | st.sampled_from(b"0123456789 #\nP56")),
+                          min_size=1, max_size=6))
+    def test_byte_mutations(self, edits):
+        blob = bytearray(VALID_PGM)
+        for pos, value in edits:
+            blob[pos] = value
+        pnm_parses_or_typed_error(bytes(blob))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cut=st.integers(0, len(VALID_PGM)))
+    def test_truncation(self, cut):
+        pnm_parses_or_typed_error(VALID_PGM[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(sorted(PNM_FIELDS)),
+           value=st.binary(max_size=8) | st.integers(0, 2**70).map(lambda v: b"%d" % v)
+           | st.integers(0, 6000).map(lambda n: b"9" * n))
+    def test_header_field_substitution(self, field, value):
+        fields = {**PNM_FIELDS, field: value}
+        header = b" ".join(fields[k] for k in ("magic", "width", "height", "maxval"))
+        pnm_parses_or_typed_error(header + b"\n" + bytes(range(6)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, len(VALID_PGM) - 1), st.integers(0, 255)),
+                          min_size=1, max_size=4))
+    def test_frame_directory(self, edits):
+        blob = bytearray(VALID_PGM)
+        for pos, value in edits:
+            blob[pos] = value
+        with tempfile.TemporaryDirectory() as folder:
+            (Path(folder) / "f0.pgm").write_bytes(VALID_PGM)
+            (Path(folder) / "f1.pgm").write_bytes(bytes(blob))
+            try:
+                load_frame_directory(folder, channels=1)
+            except LatentcastError:
+                pass
 
 
 class TestSplit:

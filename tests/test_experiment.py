@@ -259,7 +259,7 @@ class TestReport:
     def test_svg_histogram(self, tmp_path):
         intervals = bucketize_intervals([0.1, 0.4, 0.5, 0.9])
         svg = tmp_path / "hist.svg"
-        emit_report([self._run_dict(0.4)], tmp_path / "r.json", intervals=intervals,
+        emit_report([self._run_dict(0.4)], tmp_path / "r.json", intervals=intervals.to_dict(),
                     svg_path=svg)
         text = svg.read_text()
         assert text.startswith("<svg") and "excellent" in text
