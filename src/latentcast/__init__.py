@@ -12,7 +12,6 @@ from . import dataio, experiment, metrics, nn, preprocess, seqmodels, synthetic,
 from .autoencoder import (
     Autoencoder,
     AutoencoderConfig,
-    LatentScaler,
     build_autoencoder,
     decode,
     encode,

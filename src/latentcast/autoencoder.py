@@ -162,27 +162,6 @@ def encode_dataset(model: Autoencoder, sequences: np.ndarray, batch_size: int = 
     return maps.reshape(n, t, *maps.shape[1:])
 
 
-@dataclass
-class LatentScaler:
-    """Per-channel standardization of latent maps (optional; raw bottleneck
-    activations are the default interchange)."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    @classmethod
-    def fit(cls, latents: np.ndarray) -> "LatentScaler":
-        axes = tuple(range(latents.ndim - 1))
-        std = latents.std(axis=axes)
-        return cls(mean=latents.mean(axis=axes), std=np.where(std > 0, std, 1.0))
-
-    def transform(self, latents: np.ndarray) -> np.ndarray:
-        return (latents - self.mean) / self.std
-
-    def inverse(self, latents: np.ndarray) -> np.ndarray:
-        return latents * self.std + self.mean
-
-
 def reconstruct(model: Autoencoder, frames: np.ndarray, batch_size: int = 64) -> np.ndarray:
     return predict_batched(model, frames, batch_size)
 

@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import AutoencoderConfig, decode, encode_dataset
+from .autoencoder import AutoencoderConfig, encode_dataset
 from .dataio import (
     DatasetSplit,
     FrameSequence,
     VideoDataset,
+    _json_object,
     load_frame_directory,
     load_sequences_npy,
     parse_array_file,
@@ -26,14 +27,14 @@ from .dataio import (
 )
 from .errors import DataError, FormatError, LatentcastError, TrainingAbortError
 from .experiment import (
+    PipelineTiming,
+    _test_stage,
     benchmark_inference,
     emit_report,
     fit_autoencoder,
     fit_predictor,
-    forecast,
     grid_search_ae,
     grid_search_seq,
-    safe_latent_kl,
 )
 from .metrics import score_frames
 from .nn.network import Model, load_checkpoint, save_checkpoint
@@ -305,7 +306,7 @@ def _cmd_train_seq(args) -> int:
 
 
 def _cmd_gridsearch(args) -> int:
-    grid = json.loads(Path(args.grid).read_text())
+    grid = _json_object(Path(args.grid).read_bytes(), "grid file", ())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     schedule = _schedule(args)
@@ -356,15 +357,11 @@ def _cmd_predict(args) -> int:
         if not split.test_ids:
             raise DataError(f"split file {args.split} names no test sequences")
         ds = ds.select(split.test_ids)
-    latents = encode_dataset(autoencoder, ds.data)
-    kl, dropped = safe_latent_kl(latents)
-    loss, pred_latents, _ = forecast(model, latents)
-    pred = decode(autoencoder, pred_latents.astype(np.float32, copy=False))
-    truth = ds.data[:, model.config.window :]
+    loss, kl, dropped, pred, truth = _test_stage(autoencoder, model, ds.data, PipelineTiming())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_array_file(out / "pred.npy", pred)
-    write_array_file(out / "truth.npy", truth.reshape(pred.shape))
+    write_array_file(out / "truth.npy", truth)
     doc = {"n_predictions": len(pred), "test_loss": loss, "kl": kl, "kl_dropped_units": dropped}
     (out / "predict.json").write_text(json.dumps(doc, indent=2))
     print(f"wrote {len(pred)} predicted frames to {out}")
@@ -389,7 +386,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_report(args) -> int:
     runs_dir = Path(args.runs)
     runs = [
-        json.loads(p.read_text())
+        _json_object(p.read_bytes(), f"run file {p}", ())
         for p in sorted(runs_dir.glob("*.json"))
         if p.name != "report.json"
     ]
@@ -427,10 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingAbortError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 3
-    except (DataError, LatentcastError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (LatentcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,6 @@ import numpy as np
 from .autoencoder import (
     Autoencoder,
     AutoencoderConfig,
-    LatentScaler,
     build_autoencoder,
     decode,
     encode_dataset,
@@ -28,6 +27,7 @@ from .autoencoder import (
 from .dataio import DatasetSplit, VideoDataset, split_sequences
 from .errors import FoldError, GridError, LeakageError
 from .metrics import LatentStats, MetricReport, kl_gauss, latent_stats, score_frames
+from .nn.losses import loss
 from .nn.network import Model
 from .seqmodels import (
     LAYERED_KINDS,
@@ -70,8 +70,8 @@ def grid_enumerate(grid: dict[str, list], kind: SeqModelKind | None = None) -> l
     if kind is not None and SeqModelKind(kind) not in LAYERED_KINDS:
         axes.pop("hidden_layers", None)
     for name, values in axes.items():
-        if not values:
-            raise GridError(f"grid axis {name!r} is empty")
+        if not isinstance(values, list) or not values:
+            raise GridError(f"grid axis {name!r} must be a non-empty list, got {values!r}")
     names = sorted(axes)
     return [dict(zip(names, combo)) for combo in itertools.product(*(axes[n] for n in names))]
 
@@ -309,12 +309,34 @@ def _partition(
 
 
 def forecast(model: SeqPredictor, sequences: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Stage-2 test: window the (N, T, ...) sequences, score the model's loss
-    on the windows and predict each window's next frame. Returns the loss,
-    the predictions and the targets, both (N * (T - window), ...)."""
+    """Stage-2 test: window the (N, T, ...) sequences and predict each
+    window's next frame in one pass, scored by the model's loss. Returns the
+    loss, the predictions and the targets, both (N * (T - window), ...)."""
     inputs, targets, _ = window_dataset(sequences, model.config.window)
-    loss = evaluate_loss(model, inputs, targets, model.config.loss)
-    return loss, predict_next(model, inputs), targets
+    pred = predict_next(model, inputs)
+    return loss(model.config.loss, pred, targets), pred, targets
+
+
+def _test_stage(
+    autoencoder: Autoencoder, model: SeqPredictor, test: np.ndarray, timing: PipelineTiming
+) -> tuple[float, float, int, np.ndarray, np.ndarray]:
+    """Stages 1-3 on the (N, T, H, W, C) test sequences: encode, latent KL,
+    ``forecast``, decode. Adds to the encode, predict and decode timings;
+    returns the stage-2 test loss, the KL and its dropped units, the
+    predicted frames and the truth frames they are scored against."""
+    t0 = time.perf_counter()
+    latents = encode_dataset(autoencoder, test)
+    timing.stage1_encode_s += time.perf_counter() - t0
+    latent_kl, dropped = safe_latent_kl(latents)
+
+    t0 = time.perf_counter()
+    test_loss, pred_latents, _ = forecast(model, latents)
+    timing.stage2_predict_s += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    pred = decode(autoencoder, pred_latents.astype(np.float32, copy=False))
+    timing.stage3_decode_s += time.perf_counter() - t0
+    return test_loss, latent_kl, dropped, pred, _flat_frames(test[:, model.config.window :])
 
 
 def _stage2(
@@ -324,24 +346,19 @@ def _stage2(
     split: DatasetSplit,
     tracker: IdTracker,
     role: str,
-    sequences: tuple[np.ndarray, np.ndarray | None, np.ndarray],
+    train: np.ndarray,
+    val: np.ndarray | None,
     timing: PipelineTiming,
-) -> tuple[TrainRun, np.ndarray, np.ndarray]:
-    """Train the predictor on the (train, val) sequence arrays, then
-    ``forecast`` the test sequences. Fills the stage-2 timings; returns the
-    run, the predictions and the test targets."""
-    train, val, test = sequences
+) -> tuple[SeqPredictor, TrainRun]:
+    """Train the predictor on the train and validation sequences after
+    registering their ids; fills the stage-2 training time."""
     tracker.use(split.train_ids, f"{role}-train")
     if val is not None:
         tracker.use(split.val_ids, f"{role}-val")
     t0 = time.perf_counter()
     model, seq_run = fit_predictor(seq_config, seed, train, val, schedule)
     timing.stage2_train_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    seq_run.final_test_loss, pred, targets = forecast(model, test)
-    timing.stage2_predict_s = time.perf_counter() - t0
-    return seq_run, pred, targets
+    return model, seq_run
 
 
 def run_pipeline(
@@ -354,7 +371,6 @@ def run_pipeline(
     test_fraction: float = 0.2,
     val_fraction: float = 0.2,
     split_seed: int | None = None,
-    standardize_latents: bool = False,
 ) -> PipelineResult:
     """Three stages end to end: train the autoencoder, train the
     predictor on latent windows, decode predicted test latents and score
@@ -367,7 +383,6 @@ def run_pipeline(
     split, tracker, train, val, test = _partition(
         dataset, test_fraction, val_fraction, seed, split_seed
     )
-    test_frames = _flat_frames(test)
     timing = PipelineTiming()
 
     tracker.use(split.train_ids, "stage1-train")
@@ -375,41 +390,26 @@ def run_pipeline(
         tracker.use(split.val_ids, "stage1-val")
     t0 = time.perf_counter()
     autoencoder, ae_run = fit_autoencoder(ae_config, seed, train, val, ae_schedule)
-    ae_run.final_test_loss = evaluate_loss(autoencoder, test_frames, test_frames, "mse")
     timing.stage1_train_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     lat_train = encode_dataset(autoencoder, train)
     lat_val = encode_dataset(autoencoder, val) if val is not None else None
-    lat_test = encode_dataset(autoencoder, test)
-    scaler = None
-    if standardize_latents:
-        scaler = LatentScaler.fit(lat_train)  # fitted on training latents only
-        lat_train = scaler.transform(lat_train)
-        lat_val = scaler.transform(lat_val) if lat_val is not None else None
-        lat_test = scaler.transform(lat_test)
     timing.stage1_encode_s = time.perf_counter() - t0
 
-    recon_test = reconstruct(autoencoder, test_frames)
-    ae_test = score_frames(recon_test, test_frames, with_intervals=False)
-    latent_kl, dropped = safe_latent_kl(lat_test)
-
-    seq_run, pred_latents, _ = _stage2(
-        seq_config, seed, seq_schedule, split, tracker, "stage2",
-        (lat_train, lat_val, lat_test), timing,
+    model, seq_run = _stage2(
+        seq_config, seed, seq_schedule, split, tracker, "stage2", lat_train, lat_val, timing
     )
-
-    t0 = time.perf_counter()
-    if scaler is not None:
-        pred_latents = scaler.inverse(pred_latents)
-    pred_frames = decode(autoencoder, pred_latents.astype(np.float32, copy=False))
-    timing.stage3_decode_s = time.perf_counter() - t0
-
-    k = seq_config.window
-    truth = _flat_frames(test[:, k:])
+    seq_run.final_test_loss, latent_kl, dropped, pred_frames, truth = _test_stage(
+        autoencoder, model, test, timing
+    )
     prediction = score_frames(pred_frames, truth)
-    expected = len(split.test_ids) * (dataset.data.shape[1] - k)
+    expected = len(split.test_ids) * (dataset.data.shape[1] - seq_config.window)
     assert len(pred_frames) == expected, "prediction count must be n_test * (T - window)"
+
+    test_frames = _flat_frames(test)
+    ae_test = score_frames(reconstruct(autoencoder, test_frames), test_frames, with_intervals=False)
+    ae_run.final_test_loss = ae_test.mse
 
     return PipelineResult(
         config={"autoencoder": asdict(ae_config), "sequence_model": asdict(seq_config)},
@@ -442,9 +442,12 @@ def run_baseline(
         dataset, test_fraction, val_fraction, seed, split_seed
     )
     timing = PipelineTiming()
-    seq_run, pred_frames, truth = _stage2(
-        seq_config, seed, seq_schedule, split, tracker, "baseline", (train, val, test), timing
+    model, seq_run = _stage2(
+        seq_config, seed, seq_schedule, split, tracker, "baseline", train, val, timing
     )
+    t0 = time.perf_counter()
+    seq_run.final_test_loss, pred_frames, truth = forecast(model, test)
+    timing.stage2_predict_s = time.perf_counter() - t0
     return PipelineResult(
         config={"autoencoder": None, "sequence_model": asdict(seq_config)},
         seed=seed,
@@ -549,7 +552,6 @@ def interval_histogram_svg(intervals: dict, width: int = 480, height: int = 300)
 def emit_report(
     runs: list[dict],
     out_path: str | Path,
-    bench: BenchReport | None = None,
     intervals: dict | None = None,
     svg_path: str | Path | None = None,
 ) -> dict:
@@ -575,8 +577,6 @@ def emit_report(
         for run in sorted(runs, key=_ssim_of, reverse=True)
     ]
     doc: dict = {"runs": runs, "comparison": comparison}
-    if bench is not None:
-        doc["benchmark"] = bench.to_dict()
     if intervals is not None:
         doc["intervals"] = intervals
     out_path = Path(out_path)

@@ -36,20 +36,17 @@ def finite_difference(
     return grads
 
 
-def max_relative_error(
-    analytic: dict[str, np.ndarray],
-    numeric: dict[str, np.ndarray],
-    zero_floor: float = 1e-6,
-) -> float:
-    """Worst-case |a - n| / max(|a| + |n|, zero_floor).
+# The floor keeps mathematically-zero gradients (e.g. a conv bias feeding a
+# batch norm) from turning float noise into spurious relative error.
+_ZERO_FLOOR = 1e-6
 
-    The floor keeps mathematically-zero gradients (e.g. a conv bias feeding
-    a batch norm) from turning float noise into spurious relative error.
-    """
+
+def max_relative_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray]) -> float:
+    """Worst-case |a - n| / max(|a| + |n|, _ZERO_FLOOR)."""
     worst = 0.0
     for name, a in analytic.items():
         n = numeric[name]
-        err = np.abs(a - n) / np.maximum(np.abs(a) + np.abs(n), zero_floor)
+        err = np.abs(a - n) / np.maximum(np.abs(a) + np.abs(n), _ZERO_FLOOR)
         worst = max(worst, float(err.max()))
     return worst
 
@@ -60,21 +57,17 @@ def check_model_gradients(
     target: np.ndarray,
     loss_kind: LossKind,
     eps: float = 1e-4,
-    check_input: bool = True,
 ) -> float:
     """Max relative error between analytic and central-difference gradients
-    for every parameter (and the input) of a float64 model."""
+    for every parameter and the input of a float64 model."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     model.zero_grads()
     pred = model.forward(x, train=True)
     _, dpred = loss_with_grad(loss_kind, pred, target)
     dx = model.backward(dpred)
-    analytic = {k: v.copy() for k, v in model.grads().items()}
-    arrays = dict(model.params())
-    if check_input:
-        analytic["__input__"] = dx.copy()
-        arrays["__input__"] = x
+    analytic = {k: v.copy() for k, v in {**model.grads(), "__input__": dx}.items()}
+    arrays = {**model.params(), "__input__": x}
 
     def objective() -> float:
         return loss(loss_kind, model.forward(x, train=True), target)

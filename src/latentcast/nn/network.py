@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..dataio import parse_array_file, write_array_file
+from ..dataio import _json_object, parse_array_file, write_array_file
 from ..errors import CheckpointError
 from .layers import BatchNorm, Layer, Module
 from .optim import Optimizer, optimizer_from_config
@@ -229,7 +229,7 @@ def load_checkpoint(path: str | Path):
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
         raise CheckpointError(f"no {MANIFEST_NAME} in {path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _json_object(manifest_path.read_bytes(), str(manifest_path), ("model", "params"))
     model_spec = manifest["model"]
     kind = model_spec.get("model_kind")
     if kind not in _MODEL_BUILDERS:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataio import VideoDataset
+from .errors import ConfigError
 
 _GLYPHS = [
     np.array(
@@ -61,9 +62,17 @@ def moving_sprites(
     labels: bool = False,
 ) -> VideoDataset:
     """Sequences of bouncing glyphs: (n, length, size, size, channels) in
-    [0, 1], deterministic in the seed."""
+    [0, 1], deterministic in the seed. A ``ConfigError`` names a
+    ``sprite_size`` too large for ``size``, where a bounce would carry a
+    sprite out of the frame."""
     rng = np.random.default_rng(seed)
     glyphs = [_scale_glyph(g, sprite_size) for g in _GLYPHS]
+    limit = size - glyphs[0].shape[0]  # last in-frame corner row/column; glyphs are square
+    too_big = ConfigError(
+        f"sprite_size={sprite_size} is too large for size={size}: a bouncing sprite leaves the frame"
+    )
+    if limit < 0:
+        raise too_big
     data = np.zeros((n_sequences, length, size, size, channels), dtype=np.float32)
     label_list: list[str] = []
     for s in range(n_sequences):
@@ -77,6 +86,8 @@ def moving_sprites(
             vel = rng.uniform(1.0, 3.0, size=2) * rng.choice([-1.0, 1.0], size=2)
             for t in range(length):
                 r, c = int(round(pos[0])), int(round(pos[1]))
+                if not (0 <= r <= limit and 0 <= c <= limit):
+                    raise too_big
                 frames[t, r : r + gh, c : c + gw] = np.maximum(
                     frames[t, r : r + gh, c : c + gw], glyph
                 )

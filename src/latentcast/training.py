@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import TrainingAbortError
-from .nn.losses import LossKind, loss_with_grad
+from .nn.losses import LossKind, loss, loss_with_grad
 from .nn.network import Model
 from .nn.optim import Optimizer, make_optimizer
 
@@ -48,13 +48,16 @@ def predict_batched(model: Model, x: np.ndarray, batch_size: int = 64) -> np.nda
 def evaluate_loss(
     model: Model, x: np.ndarray, y: np.ndarray, loss_kind: LossKind, batch_size: int = 64
 ) -> float:
-    """Mean per-element loss over a dataset in eval mode (batch-size independent)."""
+    """Mean per-element loss over a dataset in eval mode (batch-size
+    independent): RMSE is the root of the dataset's mean squared error, not
+    a mean of per-batch roots."""
+    root = LossKind(loss_kind) is LossKind.RMSE
     total = 0.0
     for i in range(0, len(x), batch_size):
         pred = model.forward(x[i : i + batch_size], train=False)
-        value, _ = loss_with_grad(loss_kind, pred, y[i : i + batch_size])
+        value = loss(LossKind.MSE if root else loss_kind, pred, y[i : i + batch_size])
         total += value * len(pred)
-    return total / len(x)
+    return math.sqrt(total / len(x)) if root else total / len(x)
 
 
 def fit(
@@ -118,9 +121,10 @@ def fit(
                 break
     model.restore(best_snapshot)
     run.final_train_loss = evaluate_loss(model, train_x, train_y, loss_kind, schedule.batch_size)
-    run.final_val_loss = (
-        evaluate_loss(model, val_x, val_y, loss_kind, schedule.batch_size)
-        if have_val
-        else run.final_train_loss
-    )
+    if not have_val:
+        run.final_val_loss = run.final_train_loss
+    elif run.best_epoch >= 0:  # the restored snapshot is the one this score was taken on
+        run.final_val_loss = run.val_curve[run.best_epoch]
+    else:
+        run.final_val_loss = evaluate_loss(model, val_x, val_y, loss_kind, schedule.batch_size)
     return run

@@ -211,7 +211,7 @@ class TestTrainFlow:
         assert results[0] == results[1]
 
 
-    @pytest.mark.parametrize("kind, layers", [("convlstm", "1"), ("rnn", "1")])
+    @pytest.mark.parametrize("kind, layers", [("convlstm", "1"), ("rnn", "1"), ("cnn3d", None)])
     def test_cli_chain_matches_pipeline(self, tmp_path, dataset_file, kind, layers):
         split, ae_dir, latents = tmp_path / "split.json", tmp_path / "ae", tmp_path / "lat.npy"
         seq_dir, pred_dir, scores = tmp_path / "seq", tmp_path / "pred", tmp_path / "eval.json"
@@ -223,7 +223,8 @@ class TestTrainFlow:
                      *schedule, "--out", str(ae_dir)]) == 0
         assert main(["extract", "--ckpt", str(ae_dir), "--dataset", str(dataset_file),
                      "--out", str(latents)]) == 0
-        assert main(["train-seq", "--latents", str(latents), "--kind", kind, "--layers", layers,
+        depth = ["--layers", layers] if layers else []
+        assert main(["train-seq", "--latents", str(latents), "--kind", kind, *depth,
                      "--hidden", "4", "--window", "3", "--lr", "0.003", "--seed", "0",
                      "--split", str(split), *schedule, "--out", str(seq_dir)]) == 0
         assert main(["predict", "--ae-ckpt", str(ae_dir), "--seq-ckpt", str(seq_dir),
@@ -237,8 +238,8 @@ class TestTrainFlow:
         lib = run_pipeline(
             VideoDataset.load(dataset_file),
             AutoencoderConfig(dims=[4, 8], loss="mse", learning_rate=0.003, input_size=16),
-            SeqModelConfig(kind=kind, hidden_size=4, hidden_layers=int(layers), window=3,
-                           learning_rate=0.003),
+            SeqModelConfig(kind=kind, hidden_size=4, hidden_layers=layers and int(layers),
+                           window=3, learning_rate=0.003),
             seed=0,
             ae_schedule=TrainSchedule(batch_size=16, max_epochs=2),
             seq_schedule=TrainSchedule(batch_size=16, max_epochs=2),
@@ -389,6 +390,86 @@ class TestBadInputs:
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
         assert main(["bench", "--ckpt", str(ckpt), "--latents", str(latents_file),
                      "--iters", "2", "--warmup", "1"]) == 2
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """One valid input file or directory for every path flag of the CLI."""
+    root = tmp_path_factory.mktemp("valid")
+    paths = {name: str(root / name) for name in
+             ("ds.npy", "split.json", "ae-ckpt", "lat.npy", "seq-ckpt", "grid.json", "frames.npy",
+              "runs")}
+    moving_sprites(4, length=6, size=16, sprite_size=5, seed=1).save(paths["ds.npy"])
+    schedule = ["--epochs", "1", "--batch-size", "16"]
+    assert main(["split", "--dataset", paths["ds.npy"], "--test", "0.25", "--val", "0.25",
+                 "--out", paths["split.json"]]) == 0
+    assert main(["train-ae", "--dataset", paths["ds.npy"], "--dims", "4,8", *schedule,
+                 "--out", paths["ae-ckpt"]]) == 0
+    assert main(["extract", "--ckpt", paths["ae-ckpt"], "--dataset", paths["ds.npy"],
+                 "--out", paths["lat.npy"]]) == 0
+    assert main(["train-seq", "--latents", paths["lat.npy"], "--kind", "cnn3d", "--hidden", "4",
+                 "--window", "3", *schedule, "--out", paths["seq-ckpt"]]) == 0
+    Path(paths["grid.json"]).write_text(json.dumps({"hidden_size": [4], "window": [3]}))
+    write_array_file(paths["frames.npy"], np.zeros((2, 16, 16, 1), dtype=np.float32))
+    (root / "runs").mkdir()
+    (root / "runs" / "run0.json").write_text(json.dumps({"metrics": {"ssim": 0.5}}))
+    return paths
+
+
+# Each command with one path flag set to "BAD"; the file a directory flag
+# is read through, or None for a file flag.
+_PATH_FLAGS = {
+    "ingest-npy": (["ingest", "--format", "npy", "--input", "BAD"], None),
+    "ingest-pnm": (["ingest", "--format", "pnm-dir", "--input", "BAD"], "f00.pgm"),
+    "split": (["split", "--dataset", "BAD"], None),
+    "preprocess": (["preprocess", "--in", "BAD", "--len", "6", "--size", "16"], None),
+    "train-ae-dataset": (["train-ae", "--dataset", "BAD", "--dims", "4,8"], None),
+    "train-ae-split": (["train-ae", "--dataset", "ds.npy", "--dims", "4,8", "--split", "BAD"],
+                       None),
+    "extract-ckpt": (["extract", "--ckpt", "BAD", "--dataset", "ds.npy"], "manifest.json"),
+    "extract-dataset": (["extract", "--ckpt", "ae-ckpt", "--dataset", "BAD"], None),
+    "train-seq-latents": (["train-seq", "--latents", "BAD", "--kind", "cnn3d"], None),
+    "train-seq-split": (["train-seq", "--latents", "lat.npy", "--kind", "cnn3d",
+                         "--split", "BAD"], None),
+    "predict-ae-ckpt": (["predict", "--ae-ckpt", "BAD", "--seq-ckpt", "seq-ckpt",
+                         "--dataset", "ds.npy"], "manifest.json"),
+    "predict-seq-ckpt": (["predict", "--ae-ckpt", "ae-ckpt", "--seq-ckpt", "BAD",
+                          "--dataset", "ds.npy"], "manifest.json"),
+    "predict-dataset": (["predict", "--ae-ckpt", "ae-ckpt", "--seq-ckpt", "seq-ckpt",
+                         "--dataset", "BAD"], None),
+    "predict-split": (["predict", "--ae-ckpt", "ae-ckpt", "--seq-ckpt", "seq-ckpt", "--dataset", "ds.npy",
+                       "--split", "BAD"], None),
+    "gridsearch-grid": (["gridsearch", "--stage", "seq", "--kind", "cnn3d", "--kfold", "2",
+                         "--grid", "BAD", "--dataset", "lat.npy"], None),
+    "gridsearch-dataset": (["gridsearch", "--stage", "seq", "--kind", "cnn3d", "--kfold", "2",
+                            "--grid", "grid.json", "--dataset", "BAD"], None),
+    "gridsearch-split": (["gridsearch", "--stage", "seq", "--kind", "cnn3d", "--kfold", "2",
+                          "--grid", "grid.json", "--dataset", "lat.npy", "--split", "BAD"], None),
+    "bench-ckpt": (["bench", "--ckpt", "BAD", "--latents", "lat.npy"], "manifest.json"),
+    "bench-latents": (["bench", "--ckpt", "seq-ckpt", "--latents", "BAD"], None),
+    "evaluate-pred": (["evaluate", "--pred", "BAD", "--truth", "frames.npy"], None),
+    "evaluate-truth": (["evaluate", "--pred", "frames.npy", "--truth", "BAD"], None),
+    "report": (["report", "--runs", "BAD"], "run0.json"),
+}
+
+
+@pytest.mark.parametrize("bad", ["wrong-kind", "missing", "garbage", "not-an-object"])
+@pytest.mark.parametrize("command", sorted(_PATH_FLAGS))
+def test_bad_path_input_exits_2_without_traceback(tmp_path, valid_inputs, capsys, command, bad):
+    argv, inner = _PATH_FLAGS[command]
+    path = tmp_path / "bad"
+    content = {"garbage": b"\x93\xff\x00garbage{[", "not-an-object": b"[1]"}.get(bad)
+    if bad == "wrong-kind":  # a directory for a file flag, a file for a directory flag
+        path.write_bytes(b"[1]") if inner else path.mkdir()
+    elif content is not None and inner:
+        path.mkdir()
+        (path / inner).write_bytes(content)
+    elif content is not None:
+        path.write_bytes(content)
+    argv = [str(path) if a == "BAD" else valid_inputs.get(a, a) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestEvaluateReport:

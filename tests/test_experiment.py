@@ -7,18 +7,25 @@ import pytest
 from latentcast.autoencoder import AutoencoderConfig
 from latentcast.errors import FoldError, GridError, LeakageError
 from latentcast.experiment import (
-    BenchReport,
     IdTracker,
     benchmark_inference,
     emit_report,
     fold_stats,
+    forecast,
     grid_enumerate,
     kfold_validate,
     run_baseline,
     run_pipeline,
 )
 from latentcast.metrics import bucketize_intervals
-from latentcast.seqmodels import SeqModelConfig, SeqModelKind, build_seq_model
+from latentcast.nn.losses import loss
+from latentcast.seqmodels import (
+    SeqModelConfig,
+    SeqModelKind,
+    build_seq_model,
+    predict_next,
+    window_dataset,
+)
 from latentcast.synthetic import moving_sprites
 from latentcast.training import TrainSchedule
 
@@ -69,6 +76,11 @@ class TestGrid:
     def test_empty_axis_rejected(self):
         with pytest.raises(GridError):
             grid_enumerate({"loss": []})
+
+    @pytest.mark.parametrize("values", ["l1", 3, {"a": 1}, None])
+    def test_axis_that_is_not_a_list_rejected(self, values):
+        with pytest.raises(GridError):
+            grid_enumerate({"loss": values})
 
 
 class TestKFold:
@@ -167,20 +179,6 @@ class TestPipeline:
         )
         assert a.split.test_ids == b.split.test_ids
 
-    def test_standardized_latents_flag(self, micro_dataset):
-        result = run_pipeline(
-            micro_dataset,
-            AutoencoderConfig(**MICRO_AE),
-            SeqModelConfig(kind="rnn", hidden_size=8, hidden_layers=1, window=3,
-                           learning_rate=0.003),
-            seed=1,
-            ae_schedule=MICRO_SCHED,
-            seq_schedule=MICRO_SCHED,
-            standardize_latents=True,
-        )
-        assert result.n_predictions == len(result.split.test_ids) * (8 - 3)
-        assert all(-1.0 <= s <= 1.0 for s in result.prediction.ssim_scores)
-
     def test_baseline_outputs_in_unit_interval(self, micro_dataset):
         cfg = SeqModelConfig(kind="rnn", hidden_size=8, hidden_layers=1, window=3,
                              learning_rate=0.003)
@@ -188,6 +186,23 @@ class TestPipeline:
         assert result.config["sequence_model"]["output_activation"] == "sigmoid"
         assert result.n_predictions == len(result.split.test_ids) * (8 - 3)
         assert result.prediction.ssim_mean <= 1.0
+
+
+def test_forecast_runs_the_model_once_per_batch():
+    sequences = np.random.default_rng(2).normal(size=(30, 6, 2, 2, 2)).astype(np.float32)
+    model = build_seq_model(
+        SeqModelConfig(kind="rnn", hidden_size=4, hidden_layers=1, window=3), (2, 2, 2), 0
+    )
+    inputs, targets, _ = window_dataset(sequences, 3)
+    expected = predict_next(model, inputs)
+    batches = []
+    forward = model.forward
+    model.forward = lambda x, train=True: batches.append(len(x)) or forward(x, train)
+    test_loss, pred, truth = forecast(model, sequences)
+    assert batches == [64, 26]  # 90 windows at the default batch size, one pass
+    assert np.array_equal(pred, expected)
+    assert np.array_equal(truth, targets)
+    assert test_loss == loss("mse", pred, targets)
 
 
 class TestBenchmark:
@@ -246,15 +261,6 @@ class TestReport:
         assert parsed == doc
         assert [row["model"] for row in parsed["comparison"]] == ["cnn3d", "rnn"]
         assert parsed["runs"][0]["metrics"]["ssim"] == 0.5
-
-    def test_empty_bench_section_omitted(self, tmp_path):
-        doc = emit_report([self._run_dict(0.4)], tmp_path / "r.json")
-        assert "benchmark" not in doc
-
-    def test_bench_section_present_when_given(self, tmp_path):
-        bench = BenchReport(0.01, 0.012, 100, 10, "cpu")
-        doc = emit_report([self._run_dict(0.4)], tmp_path / "r.json", bench=bench)
-        assert doc["benchmark"]["per_iteration_median_s"] == 0.01
 
     def test_svg_histogram(self, tmp_path):
         intervals = bucketize_intervals([0.1, 0.4, 0.5, 0.9])
