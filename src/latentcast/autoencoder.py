@@ -16,9 +16,9 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .nn.layers import BatchNorm, Conv2D, ConvTranspose2D, LeakyReLU, Sigmoid
 from .nn.losses import LossKind
-from .nn.network import Model, Sequential, register_model_kind
+from .nn.network import Sequential, register_model_kind
 from .nn.optim import Optimizer, OptimizerKind
-from .training import TrainRun, TrainSchedule, fit, predict_batched
+from .training import TrainRun, TrainSchedule, _predict_items, fit, predict_batched
 
 DEFAULT_LEAKY_SLOPE = 0.01
 
@@ -36,8 +36,11 @@ class AutoencoderConfig:
     leaky_slope: float = DEFAULT_LEAKY_SLOPE
 
     def __post_init__(self) -> None:
-        self.loss = LossKind(self.loss)
-        self.optimizer = OptimizerKind(self.optimizer)
+        try:
+            self.loss = LossKind(self.loss)
+            self.optimizer = OptimizerKind(self.optimizer)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.dims:
             raise ConfigError("dims must list at least one channel count")
         if self.input_channels not in (1, 3):
@@ -54,12 +57,13 @@ class AutoencoderConfig:
         return (side, side, self.dims[-1])
 
 
-class Autoencoder(Model):
+class Autoencoder(Sequential):
+    """The encoder layers followed by the decoder layers; ``encoder`` and
+    ``decoder`` are the two halves over the same layer objects."""
+
     def __init__(self, config: AutoencoderConfig, seed: int):
-        super().__init__()
         self.config = config
         self.seed = seed
-        rng = np.random.default_rng(seed)
         slope = config.leaky_slope
         enc_layers = []
         cin = config.input_channels
@@ -86,15 +90,10 @@ class Autoencoder(Model):
                 dec_layers += [BatchNorm(f"dec{i}_norm", cout_d), LeakyReLU(f"dec{i}_act", slope)]
         self.encoder = Sequential(enc_layers)
         self.decoder = Sequential(dec_layers)
-        for module in self.encoder.modules() + self.decoder.modules():
-            self.add_module(module)
+        super().__init__(enc_layers + dec_layers)
+        rng = np.random.default_rng(seed)
+        for module in self.modules():
             module.init_params(rng, slope)
-
-    def forward(self, x, train=True):
-        return self.decoder.forward(self.encoder.forward(x, train), train)
-
-    def backward(self, dy):
-        return self.encoder.backward(self.decoder.backward(dy))
 
     def spec(self):
         return {"model_kind": "autoencoder", "config": asdict(self.config), "seed": self.seed}
@@ -104,42 +103,17 @@ def build_autoencoder(config: AutoencoderConfig, seed: int = 0) -> Autoencoder:
     return Autoencoder(config, seed)
 
 
-def _as_batch(frames: np.ndarray, expected_channels: int) -> tuple[np.ndarray, bool]:
-    if frames.ndim == 3:
-        frames = frames[None]
-        single = True
-    elif frames.ndim == 4:
-        single = False
-    else:
-        raise ShapeError(f"expected (H, W, C) or (N, H, W, C), got shape {frames.shape}")
-    if frames.shape[-1] != expected_channels:
-        raise ShapeError(
-            f"frame has {frames.shape[-1]} channels, model expects {expected_channels}"
-        )
-    return frames, single
-
-
-def encode(model: Autoencoder, frames: np.ndarray, batch_size: int = 64) -> np.ndarray:
+def encode(model: Autoencoder, frames: np.ndarray) -> np.ndarray:
     """Eval-mode encoder pass; accepts one frame (H, W, C) or a batch."""
-    batch, single = _as_batch(frames, model.config.input_channels)
-    maps = predict_batched(model.encoder, batch, batch_size)
-    return maps[0] if single else maps
+    return _predict_items(model.encoder, frames, 3)
 
 
-def decode(model: Autoencoder, fmaps: np.ndarray, batch_size: int = 64) -> np.ndarray:
+def decode(model: Autoencoder, fmaps: np.ndarray) -> np.ndarray:
     """Eval-mode decoder pass; accepts one map (h, w, c) or a batch."""
     expected = model.config.bottleneck_shape
-    if fmaps.ndim == 3:
-        fmaps = fmaps[None]
-        single = True
-    elif fmaps.ndim == 4:
-        single = False
-    else:
-        raise ShapeError(f"expected (h, w, c) or (N, h, w, c), got shape {fmaps.shape}")
-    if tuple(fmaps.shape[1:]) != expected:
-        raise ShapeError(f"feature map shape {fmaps.shape[1:]} != bottleneck {expected}")
-    frames = predict_batched(model.decoder, fmaps, batch_size)
-    return frames[0] if single else frames
+    if tuple(fmaps.shape[-3:]) != expected:
+        raise ShapeError(f"feature map shape {fmaps.shape} does not end in bottleneck {expected}")
+    return _predict_items(model.decoder, fmaps, 3)
 
 
 def train_autoencoder(
@@ -154,16 +128,16 @@ def train_autoencoder(
     return fit(model, train_frames, train_frames, val_frames, val_frames, schedule, optimizer)
 
 
-def encode_dataset(model: Autoencoder, sequences: np.ndarray, batch_size: int = 64) -> np.ndarray:
+def encode_dataset(model: Autoencoder, sequences: np.ndarray) -> np.ndarray:
     """Encode a (N, T, H, W, C) stack into latent maps (N, T, h, w, c)."""
     n, t = sequences.shape[:2]
     flat = sequences.reshape(n * t, *sequences.shape[2:])
-    maps = encode(model, flat, batch_size)
+    maps = encode(model, flat)
     return maps.reshape(n, t, *maps.shape[1:])
 
 
-def reconstruct(model: Autoencoder, frames: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    return predict_batched(model, frames, batch_size)
+def reconstruct(model: Autoencoder, frames: np.ndarray) -> np.ndarray:
+    return predict_batched(model, frames)
 
 
 def _build_from_spec(spec: dict) -> Autoencoder:

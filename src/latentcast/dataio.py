@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataError,
     FormatError,
     GapError,
@@ -412,9 +413,9 @@ def split_sequences(
     if n == 0:
         raise InsufficientDataError("no sequence ids to split")
     if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+        raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if not 0.0 <= val_fraction < 1.0:
-        raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
+        raise ConfigError(f"val_fraction must be in [0, 1), got {val_fraction}")
     if n < 3 and val_fraction > 0.0:
         raise InsufficientDataError(f"{n} sequences cannot fill three partitions")
     n_test = int(np.floor(n * test_fraction))

@@ -49,8 +49,8 @@ class ShapeError(LatentcastError):
     """Array shapes do not line up for an operation or layer."""
 
 
-class ConfigError(LatentcastError):
-    """Invalid model or grid configuration."""
+class ConfigError(LatentcastError, ValueError):
+    """Invalid model, grid, schedule or option value."""
 
 
 class WindowError(LatentcastError):

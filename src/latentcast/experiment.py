@@ -10,7 +10,7 @@ import math
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .autoencoder import (
     train_autoencoder,
 )
 from .dataio import DatasetSplit, VideoDataset, split_sequences
-from .errors import FoldError, GridError, LeakageError
+from .errors import ConfigError, FoldError, GridError, LeakageError
 from .metrics import LatentStats, MetricReport, kl_gauss, latent_stats, score_frames
 from .nn.losses import loss
 from .nn.network import Model
@@ -160,9 +160,18 @@ def kfold_validate(
     return fold_stats(losses)
 
 
+def _grid_configs(cls, combos: list[dict], **fixed) -> list:
+    """One ``cls`` config per grid point, all built before anything trains,
+    so an unknown axis or an invalid value fails the search up front."""
+    axes = {f.name for f in fields(cls)} - fixed.keys()
+    unknown = sorted({name for values in combos for name in values} - axes)
+    if unknown:
+        raise GridError(f"unknown grid axes {unknown}; searchable axes are {sorted(axes)}")
+    return [cls(**values, **fixed) for values in combos]
+
+
 def _eval_seq_config(args) -> tuple[dict, FoldStats]:
-    values, kind, latents, k_folds, seed, schedule = args
-    config = SeqModelConfig(kind=kind, **values)
+    values, config, latents, k_folds, seed, schedule = args
     return values, kfold_validate(config, latents, k_folds, seed, schedule)
 
 
@@ -178,13 +187,13 @@ def grid_search_seq(
     """Evaluate every grid point by K-fold validation loss; result sorted
     ascending by mean fold loss (the selection criterion)."""
     combos = grid_enumerate(grid, kind)
-    tasks = [(values, kind, latents, k_folds, seed, schedule) for values in combos]
+    configs = _grid_configs(SeqModelConfig, combos, kind=kind)
+    tasks = [(v, c, latents, k_folds, seed, schedule) for v, c in zip(combos, configs)]
     return sorted(_map(_eval_seq_config, tasks, jobs), key=lambda cs: cs[1].mean)
 
 
 def _eval_ae_config(args) -> tuple[dict, float]:
-    values, train, val, seed, schedule = args
-    config = AutoencoderConfig(**values, input_size=train.shape[2], input_channels=train.shape[4])
+    values, config, train, val, seed, schedule = args
     model, _ = fit_autoencoder(config, seed, train, val, schedule)
     # selection uses validation MSE regardless of the training loss
     val_frames = _flat_frames(val)
@@ -203,7 +212,9 @@ def grid_search_ae(
     sequences, ranked by validation MSE; frame geometry comes from the
     data, the grid carries only the searched axes."""
     combos = grid_enumerate(grid)
-    tasks = [(values, train, val, seed, schedule) for values in combos]
+    configs = _grid_configs(AutoencoderConfig, combos, input_size=train.shape[2],
+                            input_channels=train.shape[4])
+    tasks = [(v, c, train, val, seed, schedule) for v, c in zip(combos, configs)]
     return sorted(_map(_eval_ae_config, tasks, jobs), key=lambda cs: cs[1])
 
 
@@ -489,9 +500,9 @@ def benchmark_inference(
     """Wall-clock time per single-window eval-mode prediction, cycling over
     the provided windows; warmup iterations excluded from statistics."""
     if iters < 30:
-        raise ValueError(f"iters must be >= 30, got {iters}")
+        raise ConfigError(f"iters must be >= 30, got {iters}")
     if warmup < 5:
-        raise ValueError(f"warmup must be >= 5, got {warmup}")
+        raise ConfigError(f"warmup must be >= 5, got {warmup}")
     if inputs.ndim == 4:
         inputs = inputs[None]
     singles = [np.ascontiguousarray(inputs[i : i + 1]) for i in range(len(inputs))]
@@ -559,7 +570,7 @@ def emit_report(
     sorted by test SSIM descending. ``intervals`` is an
     ``IntervalReport.to_dict()``. Returns the document."""
     if not runs:
-        raise ValueError("emit_report needs at least one run")
+        raise ConfigError("emit_report needs at least one run")
 
     def _ssim_of(run: dict) -> float:
         value = run.get("metrics", {}).get("ssim")

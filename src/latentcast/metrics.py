@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRangeError, DegenerateStatsError, ShapeError, WindowError
+from .errors import ConfigError, DegenerateRangeError, DegenerateStatsError, ShapeError, WindowError
 
 INTERVAL_LABELS = ("excellent", "good", "fair", "poor")
 
@@ -36,9 +36,9 @@ class SSIMParams:
 
     def __post_init__(self) -> None:
         if min(self.alpha, self.beta, self.gamma) <= 0:
-            raise ValueError("SSIM exponents must be positive")
+            raise ConfigError("SSIM exponents must be positive")
         if self.window_side % 2 != 1:
-            raise ValueError("SSIM window side must be odd")
+            raise ConfigError("SSIM window side must be odd")
 
     @property
     def c1(self) -> float:

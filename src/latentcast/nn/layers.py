@@ -32,6 +32,10 @@ class Module:
         """The modules a model registers for this one, in initialisation order."""
         return [self]
 
+    def buffers(self) -> dict[str, np.ndarray]:
+        """Non-trained state, keyed by the attribute that holds each array."""
+        return {}
+
 
 class Layer(Module):
     """Single-cache feedforward layer (forward immediately followed by

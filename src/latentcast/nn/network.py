@@ -20,21 +20,17 @@ import numpy as np
 
 from ..dataio import _json_object, parse_array_file, write_array_file
 from ..errors import CheckpointError
-from .layers import BatchNorm, Layer, Module
+from .layers import Layer, Module
 from .optim import Optimizer, optimizer_from_config
 
 MANIFEST_NAME = "manifest.json"
 
 
 class Model:
-    """Collection of named modules exposing one flat parameter store."""
+    """Collection of named modules exposing one flat parameter store;
+    subclasses set ``_modules``."""
 
-    def __init__(self):
-        self._modules: list[Module] = []
-
-    def add_module(self, module: Module) -> Module:
-        self._modules.append(module)
-        return module
+    _modules: list[Module]
 
     def modules(self) -> list[Module]:
         return list(self._modules)
@@ -46,12 +42,7 @@ class Model:
         return {f"{m.name}.{k}": v for m in self._modules for k, v in m.grads.items()}
 
     def buffers(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for m in self._modules:
-            if isinstance(m, BatchNorm):
-                for k, v in m.buffers().items():
-                    out[f"{m.name}.{k}"] = v
-        return out
+        return {f"{m.name}.{k}": v for m in self._modules for k, v in m.buffers().items()}
 
     def zero_grads(self) -> None:
         for m in self._modules:
@@ -73,9 +64,8 @@ class Model:
             for k in list(m.params):
                 m.params[k] = m.params[k].astype(dtype)
                 m.grads[k] = m.grads[k].astype(dtype)
-            if isinstance(m, BatchNorm):
-                m.running_mean = m.running_mean.astype(dtype)
-                m.running_var = m.running_var.astype(dtype)
+            for k, v in m.buffers().items():
+                setattr(m, k, v.astype(dtype))
         return self
 
     def snapshot(self) -> dict[str, np.ndarray]:
@@ -103,17 +93,9 @@ class Model:
 
 
 class Sequential(Model):
-    def __init__(self, layers: list[Layer] | None = None):
-        super().__init__()
-        self.layers: list[Layer] = []
-        for layer in layers or []:
-            self.append(layer)
-
-    def append(self, layer: Layer) -> Layer:
-        self.layers.append(layer)
-        for module in layer.modules():
-            self.add_module(module)
-        return layer
+    def __init__(self, layers: list[Layer]):
+        self.layers = list(layers)
+        self._modules = [m for layer in self.layers for m in layer.modules()]
 
     def forward(self, x, train=True):
         for layer in self.layers:

@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..errors import NonFiniteGradientError
+from ..errors import ConfigError, NonFiniteGradientError
 
 
 class OptimizerKind(str, Enum):
@@ -26,7 +26,7 @@ class Optimizer:
 
     def __init__(self, learning_rate: float):
         if learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {learning_rate}")
+            raise ConfigError(f"learning rate must be positive, got {learning_rate}")
         self.learning_rate = learning_rate
         self.t = 0
         self.state: dict[str, dict[str, np.ndarray]] = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import FrameSequence, VideoDataset
-from .errors import ChannelError, SubsetSizeError, TooShortError
+from .errors import ChannelError, ConfigError, SubsetSizeError, TooShortError
 
 DEFAULT_BORDER_THRESHOLD = 10 / 255
 
@@ -30,9 +30,9 @@ class PreprocessSpec:
 
     def __post_init__(self) -> None:
         if self.target_length < 2:
-            raise ValueError("target_length must be >= 2 (need at least one (input, next) pair)")
+            raise ConfigError("target_length must be >= 2 (need at least one (input, next) pair)")
         if min(self.target_size) < 8:
-            raise ValueError("target_size must be >= 8 so three stride-2 halvings stay integral")
+            raise ConfigError("target_size must be >= 8 so three stride-2 halvings stay integral")
 
 
 @dataclass

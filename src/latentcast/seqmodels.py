@@ -22,7 +22,7 @@ from .nn.layers import Conv2D, Conv3D, Dense, Layer, LeakyReLU, Reshape, Sigmoid
 from .nn.losses import LossKind
 from .nn.network import Sequential, register_model_kind
 from .nn.optim import Optimizer, OptimizerKind
-from .training import TrainRun, TrainSchedule, fit, predict_batched
+from .training import TrainRun, TrainSchedule, _predict_items, fit
 
 
 class SeqModelKind(str, Enum):
@@ -51,9 +51,12 @@ class SeqModelConfig:
     output_activation: str = "linear"
 
     def __post_init__(self) -> None:
-        self.kind = SeqModelKind(self.kind)
-        self.loss = LossKind(self.loss)
-        self.optimizer = OptimizerKind(self.optimizer)
+        try:
+            self.kind = SeqModelKind(self.kind)
+            self.loss = LossKind(self.loss)
+            self.optimizer = OptimizerKind(self.optimizer)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.kind in LAYERED_KINDS:
             if self.hidden_layers is None:
                 raise ConfigError(f"{self.kind.value} requires hidden_layers")
@@ -216,11 +219,9 @@ def build_seq_model(
     return _PREDICTORS[config.kind](config, latent_shape, seed)
 
 
-def predict_next(model: SeqPredictor, inputs: np.ndarray, batch_size: int = 64) -> np.ndarray:
+def predict_next(model: SeqPredictor, inputs: np.ndarray) -> np.ndarray:
     """Eval-mode prediction; accepts one window (k, h, w, c) or a batch."""
-    if inputs.ndim == 4:
-        return predict_batched(model, inputs[None], batch_size)[0]
-    return predict_batched(model, inputs, batch_size)
+    return _predict_items(model, inputs, 4)
 
 
 def train_seq_model(

@@ -8,12 +8,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import TrainingAbortError
+from .errors import ConfigError, ShapeError, TrainingAbortError
 from .nn.losses import LossKind, loss, loss_with_grad
 from .nn.network import Model
 from .nn.optim import Optimizer, make_optimizer
 
 logger = logging.getLogger(__name__)
+
+# items per eval-mode forward of every inference entry point
+EVAL_BATCH = 64
 
 
 @dataclass
@@ -21,6 +24,12 @@ class TrainSchedule:
     batch_size: int = 32
     max_epochs: int = 100
     patience: int = 10
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ConfigError(
+                f"batch size and epochs must be >= 1, got {self.batch_size} and {self.max_epochs}"
+            )
 
 
 @dataclass
@@ -40,13 +49,25 @@ class TrainRun:
         return asdict(self)
 
 
-def predict_batched(model: Model, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    parts = [model.forward(x[i : i + batch_size], train=False) for i in range(0, len(x), batch_size)]
+def predict_batched(model: Model, x: np.ndarray) -> np.ndarray:
+    """Eval-mode forward of a batch, ``EVAL_BATCH`` items at a time."""
+    parts = [model.forward(x[i : i + EVAL_BATCH], train=False)
+             for i in range(0, len(x), EVAL_BATCH)]
     return np.concatenate(parts, axis=0)
 
 
+def _predict_items(model: Model, x: np.ndarray, rank: int) -> np.ndarray:
+    """``predict_batched`` over one item of rank ``rank`` or a batch of them."""
+    if x.ndim == rank:
+        return predict_batched(model, x[None])[0]
+    if x.ndim != rank + 1:
+        raise ShapeError(f"expected one item of rank {rank} or a batch of rank {rank + 1}, "
+                         f"got shape {x.shape}")
+    return predict_batched(model, x)
+
+
 def evaluate_loss(
-    model: Model, x: np.ndarray, y: np.ndarray, loss_kind: LossKind, batch_size: int = 64
+    model: Model, x: np.ndarray, y: np.ndarray, loss_kind: LossKind, batch_size: int = EVAL_BATCH
 ) -> float:
     """Mean per-element loss over a dataset in eval mode (batch-size
     independent): RMSE is the root of the dataset's mean squared error, not

@@ -34,6 +34,18 @@ class TestBuild:
         with pytest.raises(ConfigError):
             AutoencoderConfig(dims=[8, 16, 32], input_size=36)
 
+    def test_state_is_encoder_then_decoder(self):
+        model = build_autoencoder(AutoencoderConfig(dims=[4, 8], input_size=16), seed=5)
+        for state in ("params", "buffers"):
+            whole = getattr(model, state)()
+            halves = {**getattr(model.encoder, state)(), **getattr(model.decoder, state)()}
+            assert list(whole) == list(halves)
+            assert all(whole[k] is halves[k] for k in whole)
+        assert list(model.buffers()) == [
+            f"{layer}_norm.{stat}" for layer in ("enc0", "enc1", "dec0")
+            for stat in ("running_mean", "running_var")
+        ]
+
     def test_untrained_output_in_unit_interval(self):
         model = build_autoencoder(AutoencoderConfig(dims=[4, 8], input_size=16), seed=0)
         x = np.random.default_rng(0).random((3, 16, 16, 1)).astype(np.float32)

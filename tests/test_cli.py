@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latentcast import experiment
 from latentcast.autoencoder import AutoencoderConfig
 from latentcast.cli import _COMMANDS, build_parser, main
 from latentcast.dataio import NPY_MAGIC, VideoDataset, write_array_file
@@ -470,6 +471,46 @@ def test_bad_path_input_exits_2_without_traceback(tmp_path, valid_inputs, capsys
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Each command with one option value the library refuses.
+_BAD_VALUES = {
+    "split-test": ["split", "--dataset", "ds.npy", "--test", "1.5"],
+    "preprocess-len": ["preprocess", "--in", "ds.npy", "--len", "1", "--size", "16"],
+    "preprocess-size": ["preprocess", "--in", "ds.npy", "--len", "6", "--size", "4"],
+    "train-ae-lr": ["train-ae", "--dataset", "ds.npy", "--dims", "4,8", "--lr", "0"],
+    "train-ae-batch-size": ["train-ae", "--dataset", "ds.npy", "--dims", "4,8",
+                            "--batch-size", "0"],
+    "train-ae-epochs": ["train-ae", "--dataset", "ds.npy", "--dims", "4,8", "--epochs", "-1"],
+    "bench-iters": ["bench", "--ckpt", "seq-ckpt", "--latents", "lat.npy", "--iters", "10"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_VALUES))
+def test_bad_option_value_exits_2_without_traceback(tmp_path, valid_inputs, capsys, case):
+    argv = [valid_inputs.get(a, a) for a in _BAD_VALUES[case]]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid, named", [({"bogus": [1]}, "bogus"), ({"loss": ["nope"]}, "nope")],
+                         ids=["unknown-axis", "invalid-value"])
+@pytest.mark.parametrize("stage", ["seq", "ae"])
+def test_bad_grid_exits_2_before_training(tmp_path, valid_inputs, dataset_file, capsys,
+                                          monkeypatch, stage, grid, named):
+    monkeypatch.setattr(experiment, "_map", lambda *args: pytest.fail("a grid point trained"))
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    out_dir = tmp_path / "gs"
+    assert main(["gridsearch", "--stage", stage, "--kind", "rnn", "--kfold", "2",
+                 "--grid", str(path),
+                 "--dataset", valid_inputs["lat.npy"] if stage == "seq" else str(dataset_file),
+                 "--epochs", "1", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (out_dir / "results.json").exists()
 
 
 class TestEvaluateReport:

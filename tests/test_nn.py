@@ -330,6 +330,14 @@ class TestBatchNorm:
         y = layer.forward(x, train=False)
         assert np.abs(y.mean(axis=0)).max() < 0.05
 
+    def test_cast_retypes_running_statistics(self):
+        model = init_all(Sequential([Conv2D("c", 1, 2), BatchNorm("bn", 2)])).cast(np.float64)
+        layer = model.layers[1]
+        assert layer.running_mean.dtype == layer.running_var.dtype == np.float64
+        assert {v.dtype for v in model.buffers().values()} == {np.dtype(np.float64)}
+        x = np.random.default_rng(0).random((2, 4, 4, 1))
+        assert model.forward(x, train=False).dtype == np.float64
+
 
 def tiny_ae_like(seed=0):
     model = Sequential(

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from latentcast.autoencoder import AutoencoderConfig, build_autoencoder
+from latentcast.autoencoder import AutoencoderConfig, build_autoencoder, decode, encode
+from latentcast.errors import ShapeError
 from latentcast.nn.losses import loss
-from latentcast.seqmodels import SeqModelConfig, build_seq_model
+from latentcast.seqmodels import SeqModelConfig, build_seq_model, predict_next
 from latentcast.synthetic import moving_sprites
-from latentcast.training import TrainSchedule, evaluate_loss, fit
+from latentcast.training import EVAL_BATCH, TrainSchedule, evaluate_loss, fit
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +47,36 @@ def test_final_val_loss_is_the_best_epochs_score(windows, kind):
     assert run.final_val_loss == run.val_curve[run.best_epoch]
     # the restored snapshot scores exactly what its epoch scored
     assert evaluate_loss(model, va_x, va_y, model.config.loss, 8) == run.final_val_loss
+
+
+@pytest.fixture(scope="module")
+def entries():
+    """Each single-item inference entry with its model and the shape of one item."""
+    ae = build_autoencoder(AutoencoderConfig(dims=[4, 8], input_size=16), 0)
+    seq = build_seq_model(
+        SeqModelConfig(kind="convlstm", hidden_size=4, hidden_layers=1, window=3), (4, 4, 8), 0
+    )
+    return {
+        "encode": (encode, ae, (16, 16, 1)),
+        "decode": (decode, ae, (4, 4, 8)),
+        "predict_next": (predict_next, seq, (3, 4, 4, 8)),
+    }
+
+
+@pytest.mark.parametrize("entry", ["encode", "decode", "predict_next"])
+def test_single_item_equals_its_row_of_a_multi_chunk_batch(entries, entry):
+    fn, model, shape = entries[entry]
+    batch = np.random.default_rng(1).random((EVAL_BATCH + 1, *shape)).astype(np.float32)
+    out = fn(model, batch)
+    assert out.shape[0] == EVAL_BATCH + 1
+    # the last item is a chunk of its own, so both calls run the same forward
+    assert np.array_equal(fn(model, batch[-1]), out[-1])
+
+
+@pytest.mark.parametrize("extra_axes", [-1, 2])
+@pytest.mark.parametrize("entry", ["encode", "decode", "predict_next"])
+def test_wrong_rank_is_shape_error(entries, entry, extra_axes):
+    fn, model, shape = entries[entry]
+    shape = shape[1:] if extra_axes < 0 else (1, 1, *shape)
+    with pytest.raises(ShapeError):
+        fn(model, np.zeros(shape, dtype=np.float32))
