@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, _check_int, _check_rate
 from .nn.layers import BatchNorm, Conv2D, ConvTranspose2D, LeakyReLU, Sigmoid
 from .nn.losses import LossKind
 from .nn.network import Sequential, register_model_kind
@@ -43,6 +43,9 @@ class AutoencoderConfig:
             raise ConfigError(str(exc)) from None
         if not self.dims:
             raise ConfigError("dims must list at least one channel count")
+        for d in self.dims:
+            _check_int("every dims entry", d)
+        _check_rate("learning_rate", self.learning_rate)
         if self.input_channels not in (1, 3):
             raise ConfigError(f"input_channels must be 1 or 3, got {self.input_channels}")
         if self.input_size % (2 ** len(self.dims)) != 0:

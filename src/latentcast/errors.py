@@ -1,4 +1,8 @@
-"""Exception taxonomy shared by all latentcast modules."""
+"""Exception taxonomy shared by all latentcast modules, and the numeric field
+checks that raise ``ConfigError``."""
+
+import math
+import numbers
 
 
 class LatentcastError(Exception):
@@ -87,3 +91,15 @@ class NonFiniteGradientError(TrainingAbortError):
 
 class CheckpointError(LatentcastError):
     """Checkpoint directory is missing files or inconsistent."""
+
+
+def _check_int(name: str, value, low: int = 1) -> None:
+    """``ConfigError`` unless ``value`` is an integer (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_rate(name: str, value) -> None:
+    """``ConfigError`` unless ``value`` is a finite real number > 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")

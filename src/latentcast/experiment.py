@@ -25,7 +25,7 @@ from .autoencoder import (
     train_autoencoder,
 )
 from .dataio import DatasetSplit, VideoDataset, split_sequences
-from .errors import ConfigError, FoldError, GridError, LeakageError
+from .errors import ConfigError, FoldError, GridError, LeakageError, _check_int
 from .metrics import LatentStats, MetricReport, kl_gauss, latent_stats, score_frames
 from .nn.losses import loss
 from .nn.network import Model
@@ -153,8 +153,6 @@ def kfold_validate(
     losses = []
     for i, val_idx in enumerate(folds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        # keep only the run: the model's layer caches would otherwise stay
-        # alive through the next fold's training
         run = fit_predictor(config, seed, latents[train_idx], latents[val_idx], schedule)[1]
         losses.append(run.final_val_loss)
     return fold_stats(losses)
@@ -499,10 +497,8 @@ def benchmark_inference(
 ) -> BenchReport:
     """Wall-clock time per single-window eval-mode prediction, cycling over
     the provided windows; warmup iterations excluded from statistics."""
-    if iters < 30:
-        raise ConfigError(f"iters must be >= 30, got {iters}")
-    if warmup < 5:
-        raise ConfigError(f"warmup must be >= 5, got {warmup}")
+    _check_int("iters", iters, 30)
+    _check_int("warmup", warmup, 5)
     if inputs.ndim == 4:
         inputs = inputs[None]
     singles = [np.ascontiguousarray(inputs[i : i + 1]) for i in range(len(inputs))]

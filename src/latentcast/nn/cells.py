@@ -3,8 +3,10 @@ unrolls a stack of them for backpropagation through time.
 
 ``step`` returns (output, new_state, cache); ``backstep`` consumes one cache
 plus the incoming output/state gradients and returns (dx, dstate), adding
-parameter gradients into the cell's accumulators. States reset to zeros at
-the start of every window.
+parameter gradients into the cell's accumulators; with ``need_dx=False`` it
+skips the input gradient and returns ``None`` for dx. States reset to zeros
+at the start of every window. ``Recurrence`` keeps the step caches of a
+training-mode forward only, and its backward releases each one as it is read.
 """
 
 from __future__ import annotations
@@ -44,16 +46,16 @@ class Cell(Module):
     def step(self, x, state):
         raise NotImplementedError
 
-    def backstep(self, cache, dh, dstate):
+    def backstep(self, cache, dh, dstate, need_dx=True):
         raise NotImplementedError
 
-    def _affine_backward(self, x, dzx, h, dzh):
+    def _affine_backward(self, x, dzx, h, dzh, need_dx):
         """Gradients through ``x Wx + h Wh + b`` given the pre-activation
         gradient of the input part ``dzx`` and of the hidden part ``dzh``."""
         self.grads["wx"] += x.T @ dzx
         self.grads["wh"] += h.T @ dzh
         self.grads["b"] += dzx.sum(axis=0)
-        return dzx @ self.params["wx"].T, dzh @ self.params["wh"].T
+        return (dzx @ self.params["wx"].T if need_dx else None), dzh @ self.params["wh"].T
 
 
 def _lstm_gates(z, c, n):
@@ -99,12 +101,12 @@ class ElmanCell(Cell):
         h_new = np.tanh(x @ self.params["wx"] + h @ self.params["wh"] + self.params["b"])
         return h_new, (h_new,), (x, h, h_new)
 
-    def backstep(self, cache, dh, dstate):
+    def backstep(self, cache, dh, dstate, need_dx=True):
         x, h_prev, h_new = cache
         if dstate is not None:
             dh = dh + dstate[0]
         da = F.tanh_backward(dh, h_new)
-        dx, dh_prev = self._affine_backward(x, da, h_prev, da)
+        dx, dh_prev = self._affine_backward(x, da, h_prev, da, need_dx)
         return dx, (dh_prev,)
 
 
@@ -120,10 +122,10 @@ class LSTMCell(Cell):
         h_new, c_new, gate_cache = _lstm_gates(z, c, self.hidden_size)
         return h_new, (h_new, c_new), (x, h, gate_cache)
 
-    def backstep(self, cache, dh, dstate):
+    def backstep(self, cache, dh, dstate, need_dx=True):
         x, h_prev, gate_cache = cache
         dz, dc_prev = _lstm_gates_backward(gate_cache, dh, dstate)
-        dx, dh_prev = self._affine_backward(x, dz, h_prev, dz)
+        dx, dh_prev = self._affine_backward(x, dz, h_prev, dz, need_dx)
         return dx, (dh_prev, dc_prev)
 
 
@@ -145,7 +147,7 @@ class GRUCell(Cell):
         h_new = (1.0 - u) * cand + u * h
         return h_new, (h_new,), (x, h, ha, r, u, cand)
 
-    def backstep(self, cache, dh, dstate):
+    def backstep(self, cache, dh, dstate, need_dx=True):
         x, h_prev, ha, r, u, cand = cache
         n = self.hidden_size
         if dstate is not None:
@@ -158,7 +160,7 @@ class GRUCell(Cell):
         dzu = F.sigmoid_backward(du, u)
         dxa = np.concatenate([dzr, dzu, dzc], axis=1)
         dha = np.concatenate([dzr, dzu, dzc * r], axis=1)
-        dx, dh_prev = self._affine_backward(x, dxa, h_prev, dha)
+        dx, dh_prev = self._affine_backward(x, dxa, h_prev, dha, need_dx)
         return dx, (dh_prev + dh * u,)
 
 
@@ -185,12 +187,13 @@ class ConvCell(Cell):
             padding=self.kernel // 2,
         )
 
-    def _conv_backward(self, dz, conv_cache):
-        """(dx, dh_prev) through ``_conv``."""
-        dxc, dw, db = F.conv2d_backward(dz, conv_cache, self.params["w"])
+    def _conv_backward(self, dz, conv_cache, need_dx):
+        """(dx, dh_prev) through ``_conv``; dx is None without ``need_dx``."""
+        m = self.input_size
+        dxc, dw, db = F.conv2d_backward(dz, conv_cache, self.params["w"], 0 if need_dx else m)
         self.grads["w"] += dw
         self.grads["b"] += db
-        return dxc[..., : self.input_size], dxc[..., self.input_size :]
+        return (dxc[..., :m], dxc[..., m:]) if need_dx else (None, dxc)
 
 
 class ConvLSTMCell(ConvCell):
@@ -205,10 +208,10 @@ class ConvLSTMCell(ConvCell):
         h_new, c_new, gate_cache = _lstm_gates(z, c, self.hidden_size)
         return h_new, (h_new, c_new), (conv_cache, gate_cache)
 
-    def backstep(self, cache, dh, dstate):
+    def backstep(self, cache, dh, dstate, need_dx=True):
         conv_cache, gate_cache = cache
         dz, dc_prev = _lstm_gates_backward(gate_cache, dh, dstate)
-        dx, dh_prev = self._conv_backward(dz, conv_cache)
+        dx, dh_prev = self._conv_backward(dz, conv_cache, need_dx)
         return dx, (dh_prev, dc_prev)
 
 
@@ -222,11 +225,11 @@ class ConvElmanCell(ConvCell):
         h_new = np.tanh(z)
         return h_new, (h_new,), (conv_cache, h_new)
 
-    def backstep(self, cache, dh, dstate):
+    def backstep(self, cache, dh, dstate, need_dx=True):
         conv_cache, h_new = cache
         if dstate is not None:
             dh = dh + dstate[0]
-        dx, dh_prev = self._conv_backward(F.tanh_backward(dh, h_new), conv_cache)
+        dx, dh_prev = self._conv_backward(F.tanh_backward(dh, h_new), conv_cache, need_dx)
         return dx, (dh_prev,)
 
 
@@ -240,32 +243,32 @@ class Recurrence(Layer):
         super().__init__(name)
         self.cells = cells
         self._caches: list[list] = []
-        self._x_shape = None
 
     def modules(self):
         return list(self.cells)
 
     def forward(self, x, train=True):
         states = [cell.init_state(x[:, 0]) for cell in self.cells]
-        self._caches = [[] for _ in self.cells]
+        self._caches = [[] for _ in self.cells] if train else []
         for t in range(x.shape[1]):
             h = x[:, t]
             for layer, cell in enumerate(self.cells):
                 h, states[layer], cache = cell.step(h, states[layer])
-                self._caches[layer].append(cache)
-        self._x_shape = x.shape
+                if train:
+                    self._caches[layer].append(cache)
         return h
 
-    def backward(self, dy):
-        k = self._x_shape[1]
+    def backward(self, dy, need_dx=True):
+        caches, self._caches = self._caches, []
+        k = len(caches[0])
         zero = np.zeros_like(dy)
         dstates = [None] * len(self.cells)
-        dx = np.zeros(self._x_shape, dtype=dy.dtype)
+        dxs = []
         for t in reversed(range(k)):
             dh = dy if t == k - 1 else zero
             for layer in reversed(range(len(self.cells))):
                 dh, dstates[layer] = self.cells[layer].backstep(
-                    self._caches[layer][t], dh, dstates[layer]
+                    caches[layer].pop(), dh, dstates[layer], need_dx or layer > 0
                 )
-            dx[:, t] = dh
-        return dx
+            dxs.append(dh)
+        return np.stack(dxs[::-1], axis=1) if need_dx else None

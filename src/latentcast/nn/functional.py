@@ -1,7 +1,9 @@
 """Array-level forward/backward primitives with explicit caches.
 
 Every function returns the forward value plus whatever the matching
-backward needs, so recurrent cells can keep one cache per timestep.
+backward needs, so recurrent cells can keep one cache per timestep; the
+caller decides how long a cache lives. Weighted backward kernels return dx
+for input channels ``dx_from`` on, or None for ``dx_from=None``.
 Layout is channels-last: images (N, H, W, C), volumes (N, D, H, W, C).
 """
 
@@ -56,16 +58,19 @@ def _conv_forward(x, w, b, stride, pads, name):
     return y, (cols, x.shape, stride, pads, out)
 
 
-def _conv_backward(dy, cache, w):
+def _conv_backward(dy, cache, w, dx_from):
     """(dx, dw, db) of ``_conv_forward``: dx is col2im of the column gradient."""
     cols, x_shape, stride, pads, out = cache
     cout = w.shape[-1]
     dyf = dy.reshape(-1, cout)
     db = dyf.sum(axis=0)
     dw = (cols.T @ dyf).reshape(w.shape)
+    if dx_from is None:
+        return None, dw, db
+    w = w[..., dx_from:, :]
     dcols = (dyf @ w.reshape(-1, cout).T).reshape(x_shape[0], *out, *w.shape[:-1])
     spatial = x_shape[1:-1]
-    padded = (x_shape[0], *(s + 2 * p for s, p in zip(spatial, pads)), x_shape[-1])
+    padded = (x_shape[0], *(s + 2 * p for s, p in zip(spatial, pads)), w.shape[-2])
     dxp = _col2im(dcols, padded, stride, out, dy.dtype)
     return dxp[(slice(None), *(slice(p, p + s) for s, p in zip(spatial, pads)))], dw, db
 
@@ -77,8 +82,8 @@ def conv2d_forward(x, w, b, stride=1, padding=0):
 
 # each public kernel is its own function (no aliases, no calls between them),
 # so wrappers installed by name count every kernel apart
-def conv2d_backward(dy, cache, w):
-    return _conv_backward(dy, cache, w)
+def conv2d_backward(dy, cache, w, dx_from=0):
+    return _conv_backward(dy, cache, w, dx_from)
 
 
 def conv3d_forward(x, w, b, padding=(0, 1, 1)):
@@ -86,8 +91,8 @@ def conv3d_forward(x, w, b, padding=(0, 1, 1)):
     return _conv_forward(x, w, b, 1, tuple(padding), "conv3d")
 
 
-def conv3d_backward(dy, cache, w):
-    return _conv_backward(dy, cache, w)
+def conv3d_backward(dy, cache, w, dx_from=0):
+    return _conv_backward(dy, cache, w, dx_from)
 
 
 # -- transposed 2-D convolution: col2im forward, im2col backward ------------
@@ -114,7 +119,7 @@ def conv_transpose2d_forward(x, w, b, stride=2, padding=1, output_padding=1):
     return y, (x, stride, padding, gh, gw, bufh, bufw)
 
 
-def conv_transpose2d_backward(dy, cache, w):
+def conv_transpose2d_backward(dy, cache, w, dx_from=0):
     x, stride, padding, gh, gw, bufh, bufw = cache
     n, h, wd, cin = x.shape
     kh, kw, _, cout = w.shape
@@ -122,7 +127,7 @@ def conv_transpose2d_backward(dy, cache, w):
     dbuf[:, padding : padding + gh, padding : padding + gw, :] = dy
     winf = _windows(dbuf, (kh, kw), stride, (h, wd)).reshape(n * h * wd, kh * kw * cout)
     w2 = w.transpose(2, 0, 1, 3).reshape(cin, -1)
-    dx = (winf @ w2.T).reshape(n, h, wd, cin)
+    dx = None if dx_from is None else (winf @ w2[dx_from:].T).reshape(n, h, wd, -1)
     dw = (x.reshape(-1, cin).T @ winf).reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
     db = dy.sum(axis=(0, 1, 2))
     return dx, dw, db
@@ -137,12 +142,11 @@ def dense_forward(x, w, b):
     return x @ w + b, x
 
 
-def dense_backward(dy, cache, w):
+def dense_backward(dy, cache, w, dx_from=0):
     x = cache
     dw = x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
     db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    dx = dy @ w.T
-    return dx, dw, db
+    return (None if dx_from is None else dy @ w[dx_from:].T), dw, db
 
 
 # -- batch normalization -------------------------------------------------------

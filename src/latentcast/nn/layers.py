@@ -1,4 +1,10 @@
-"""Feedforward layers: named parameters, cached forward, accumulating backward."""
+"""Feedforward layers: named parameters, cached forward, accumulating backward.
+
+A layer's cache lives from a training-mode forward to the backward that
+reads it: an eval-mode forward keeps none (BatchNorm excepted), and every
+backward drops the cache it consumed. With ``need_dx=False`` a weighted
+layer's backward computes its parameter gradients only and returns ``None``.
+"""
 
 from __future__ import annotations
 
@@ -41,10 +47,12 @@ class Layer(Module):
     """Single-cache feedforward layer (forward immediately followed by
     backward, as in minibatch training)."""
 
+    _cache = None  # set by a training-mode forward, dropped by its backward
+
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         raise NotImplementedError
 
 
@@ -56,7 +64,6 @@ class ParamLayer(Layer):
     def __init__(self, name, w_shape, fan_in):
         super().__init__(name)
         self.w_shape, self.fan_in = tuple(w_shape), fan_in
-        self._cache = None
 
     def init_params(self, rng, slope, dtype=np.float32):
         self._register("w", he_normal(self.w_shape, self.fan_in, slope, rng, dtype))
@@ -64,13 +71,15 @@ class ParamLayer(Layer):
 
     def forward(self, x, train=True):
         try:
-            y, self._cache = self._forward(x, self.params["w"], self.params["b"])
+            y, cache = self._forward(x, self.params["w"], self.params["b"])
         except ShapeError as exc:
             raise ShapeError(f"layer {self.name!r}: {exc}") from None
+        self._cache = cache if train else None
         return y
 
-    def backward(self, dy):
-        dx, dw, db = self._backward(dy, self._cache, self.params["w"])
+    def backward(self, dy, need_dx=True):
+        cache, self._cache = self._cache, None
+        dx, dw, db = self._backward(dy, cache, self.params["w"], 0 if need_dx else None)
         self.grads["w"] += dw
         self.grads["b"] += db
         return dx
@@ -85,8 +94,8 @@ class Conv2D(ParamLayer):
     def _forward(self, x, w, b):
         return F.conv2d_forward(x, w, b, self.stride, self.padding)
 
-    def _backward(self, dy, cache, w):
-        return F.conv2d_backward(dy, cache, w)
+    def _backward(self, dy, cache, w, dx_from):
+        return F.conv2d_backward(dy, cache, w, dx_from)
 
 
 class ConvTranspose2D(ParamLayer):
@@ -100,8 +109,8 @@ class ConvTranspose2D(ParamLayer):
         return F.conv_transpose2d_forward(x, w, b, self.stride, self.padding,
                                           self.output_padding)
 
-    def _backward(self, dy, cache, w):
-        return F.conv_transpose2d_backward(dy, cache, w)
+    def _backward(self, dy, cache, w, dx_from):
+        return F.conv_transpose2d_backward(dy, cache, w, dx_from)
 
 
 class Conv3D(ParamLayer):
@@ -113,8 +122,8 @@ class Conv3D(ParamLayer):
     def _forward(self, x, w, b):
         return F.conv3d_forward(x, w, b, self.padding)
 
-    def _backward(self, dy, cache, w):
-        return F.conv3d_backward(dy, cache, w)
+    def _backward(self, dy, cache, w, dx_from):
+        return F.conv3d_backward(dy, cache, w, dx_from)
 
 
 class Dense(ParamLayer):
@@ -124,8 +133,8 @@ class Dense(ParamLayer):
     def _forward(self, x, w, b):
         return F.dense_forward(x, w, b)
 
-    def _backward(self, dy, cache, w):
-        return F.dense_backward(dy, cache, w)
+    def _backward(self, dy, cache, w, dx_from):
+        return F.dense_backward(dy, cache, w, dx_from)
 
 
 class BatchNorm(Layer):
@@ -136,7 +145,6 @@ class BatchNorm(Layer):
         self.channels, self.momentum, self.eps = channels, momentum, eps
         self.running_mean: np.ndarray | None = None
         self.running_var: np.ndarray | None = None
-        self._cache = None
 
     def init_params(self, rng, slope, dtype=np.float32):
         self._register("gamma", np.ones(self.channels, dtype=dtype))
@@ -155,8 +163,9 @@ class BatchNorm(Layer):
         )
         return y
 
-    def backward(self, dy):
-        dx, dgamma, dbeta = F.batchnorm_backward(dy, self._cache, self.params["gamma"])
+    def backward(self, dy, need_dx=True):
+        cache, self._cache = self._cache, None
+        dx, dgamma, dbeta = F.batchnorm_backward(dy, cache, self.params["gamma"])
         self.grads["gamma"] += dgamma
         self.grads["beta"] += dbeta
         return dx
@@ -171,40 +180,26 @@ class LeakyReLU(Layer):
         if not 0.0 <= slope <= 1.0:  # the max(x, slope*x) kernel needs it
             raise ConfigError(f"layer {name!r}: leaky slope must be in [0, 1], got {slope}")
         self.slope = slope
-        self._cache = None
 
     def forward(self, x, train=True):
-        y, self._cache = F.leaky_relu_forward(x, self.slope)
+        y, cache = F.leaky_relu_forward(x, self.slope)
+        self._cache = cache if train else None
         return y
 
-    def backward(self, dy):
-        return F.leaky_relu_backward(dy, self._cache, self.slope)
+    def backward(self, dy, need_dx=True):
+        cache, self._cache = self._cache, None
+        return F.leaky_relu_backward(dy, cache, self.slope)
 
 
 class Sigmoid(Layer):
-    def __init__(self, name):
-        super().__init__(name)
-        self._cache = None
-
     def forward(self, x, train=True):
-        self._cache = F.sigmoid(x)
-        return self._cache
+        y = F.sigmoid(x)
+        self._cache = y if train else None
+        return y
 
-    def backward(self, dy):
-        return F.sigmoid_backward(dy, self._cache)
-
-
-class Flatten(Layer):
-    def __init__(self, name):
-        super().__init__(name)
-        self._shape = None
-
-    def forward(self, x, train=True):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dy):
-        return dy.reshape(self._shape)
+    def backward(self, dy, need_dx=True):
+        y, self._cache = self._cache, None
+        return F.sigmoid_backward(dy, y)
 
 
 class Reshape(Layer):
@@ -221,5 +216,14 @@ class Reshape(Layer):
         self._shape = x.shape
         return x.reshape(-1, *self.target_shape)
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         return dy.reshape(self._shape)
+
+
+class Flatten(Reshape):
+    def __init__(self, name):
+        super().__init__(name, ())
+
+    def forward(self, x, train=True):
+        self._shape = x.shape
+        return x.reshape(x.shape[0], -1)

@@ -85,7 +85,8 @@ class Model:
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+        """Add the parameter gradients; return dx, or None with ``need_dx=False``."""
         raise NotImplementedError
 
     def spec(self) -> dict:
@@ -102,9 +103,12 @@ class Sequential(Model):
             x = layer.forward(x, train)
         return x
 
-    def backward(self, dy):
-        for layer in reversed(self.layers):
-            dy = layer.backward(dy)
+    def backward(self, dy, need_dx=True):
+        # without need_dx the pass stops at the first parameter layer
+        first = 0 if need_dx else min(i for i, layer in enumerate(self.layers)
+                                      if any(m.params for m in layer.modules()))
+        for i in reversed(range(first, len(self.layers))):
+            dy = self.layers[i].backward(dy, need_dx or i > first)
         return dy
 
 

@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..errors import ConfigError, NonFiniteGradientError
+from ..errors import NonFiniteGradientError, _check_rate
 
 
 class OptimizerKind(str, Enum):
@@ -25,8 +25,7 @@ class Optimizer:
     kind: OptimizerKind
 
     def __init__(self, learning_rate: float):
-        if learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {learning_rate}")
+        _check_rate("learning rate", learning_rate)
         self.learning_rate = learning_rate
         self.t = 0
         self.state: dict[str, dict[str, np.ndarray]] = {}

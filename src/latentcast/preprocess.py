@@ -196,7 +196,7 @@ def stratified_subset(
     differ by at most 1 wherever label populations permit, scarce labels are
     capped at their population, and the leftover is spread one id at a time.
     """
-    if m > len(ids_with_labels):
+    if not 1 <= m <= len(ids_with_labels):
         raise SubsetSizeError(f"requested {m} ids from a population of {len(ids_with_labels)}")
     by_label: dict[str, list[str]] = {}
     for seq_id, label in ids_with_labels:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, WindowError
+from .errors import ConfigError, ShapeError, WindowError, _check_int, _check_rate
 from .nn.cells import ConvElmanCell, ConvLSTMCell, ElmanCell, GRUCell, LSTMCell, Recurrence
 from .nn.layers import Conv2D, Conv3D, Dense, Layer, LeakyReLU, Reshape, Sigmoid
 from .nn.losses import LossKind
@@ -60,12 +60,12 @@ class SeqModelConfig:
         if self.kind in LAYERED_KINDS:
             if self.hidden_layers is None:
                 raise ConfigError(f"{self.kind.value} requires hidden_layers")
-            if self.hidden_layers < 1:
-                raise ConfigError("hidden_layers must be >= 1")
+            _check_int("hidden_layers", self.hidden_layers)
         elif self.hidden_layers is not None:
             raise ConfigError(f"{self.kind.value} does not take hidden_layers")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
+        _check_int("hidden_size", self.hidden_size)
+        _check_int("window", self.window)
+        _check_rate("learning_rate", self.learning_rate)
         if self.kind is SeqModelKind.CNN3D and self.window < 3:
             raise ConfigError("3D-CNN needs a window of at least 3 frames")
         if self.output_activation not in ("linear", "sigmoid"):

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, TrainingAbortError
+from .errors import ShapeError, TrainingAbortError, _check_int
 from .nn.losses import LossKind, loss, loss_with_grad
 from .nn.network import Model
 from .nn.optim import Optimizer, make_optimizer
@@ -26,10 +26,9 @@ class TrainSchedule:
     patience: int = 10
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError(
-                f"batch size and epochs must be >= 1, got {self.batch_size} and {self.max_epochs}"
-            )
+        _check_int("batch size", self.batch_size)
+        _check_int("epochs", self.max_epochs)
+        _check_int("patience", self.patience, 0)
 
 
 @dataclass
@@ -120,7 +119,7 @@ def fit(
                 raise TrainingAbortError(
                     f"non-finite {loss_kind.value} loss at epoch {epoch}, step {start // schedule.batch_size}"
                 )
-            model.backward(dpred)
+            model.backward(dpred, need_dx=False)
             optimizer.step(model.params(), model.grads())
             epoch_loss += value * len(idx)
         train_loss = epoch_loss / n

@@ -34,6 +34,14 @@ class TestBuild:
         with pytest.raises(ConfigError):
             AutoencoderConfig(dims=[8, 16, 32], input_size=36)
 
+    @pytest.mark.parametrize("changes", [
+        {"dims": [0, 8]}, {"dims": [4, "8"]}, {"dims": [4, 8.0]}, {"dims": [True, 8]},
+        {"learning_rate": -1e-3}, {"learning_rate": float("nan")},
+    ])
+    def test_numeric_fields_checked(self, changes):
+        with pytest.raises(ConfigError, match=next(iter(changes))):
+            AutoencoderConfig(input_size=16, **{"dims": [4, 8], **changes})
+
     def test_state_is_encoder_then_decoder(self):
         model = build_autoencoder(AutoencoderConfig(dims=[4, 8], input_size=16), seed=5)
         for state in ("params", "buffers"):

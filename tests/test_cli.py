@@ -495,8 +495,39 @@ def test_bad_option_value_exits_2_without_traceback(tmp_path, valid_inputs, caps
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("grid, named", [({"bogus": [1]}, "bogus"), ({"loss": ["nope"]}, "nope")],
-                         ids=["unknown-axis", "invalid-value"])
+# Values a config refuses before anything trains or is written; run on a
+# 6-sequence file, with one epoch where the command trains.
+_REFUSED_VALUES = {
+    "train-seq-hidden": ["train-seq", "--latents", "DATA", "--kind", "rnn", "--layers", "1",
+                         "--hidden", "0", "--epochs", "1"],
+    "train-ae-dims": ["train-ae", "--dataset", "DATA", "--dims", "0,8", "--epochs", "1"],
+    "train-ae-patience": ["train-ae", "--dataset", "DATA", "--dims", "4,8", "--epochs", "1",
+                          "--patience", "-1"],
+    "preprocess-stratify": ["preprocess", "--in", "DATA", "--len", "6", "--size", "16",
+                            "--stratify", "0"],
+}
+
+
+@pytest.fixture(scope="module")
+def six_sequences(tmp_path_factory):
+    path = tmp_path_factory.mktemp("six") / "ds.npy"
+    moving_sprites(6, length=6, size=16, sprite_size=5, seed=1, labels=True).save(path)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_VALUES))
+def test_refused_config_value_exits_2_without_traceback(tmp_path, six_sequences, capsys, case):
+    argv = [six_sequences if a == "DATA" else a for a in _REFUSED_VALUES[case]]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid, named", [({"bogus": [1]}, "bogus"), ({"loss": ["nope"]}, "nope"),
+                                         ({"hidden_layers": [1], "hidden_size": ["x"]},
+                                          "hidden_size")],
+                         ids=["unknown-axis", "invalid-value", "invalid-type"])
 @pytest.mark.parametrize("stage", ["seq", "ae"])
 def test_bad_grid_exits_2_before_training(tmp_path, valid_inputs, dataset_file, capsys,
                                           monkeypatch, stage, grid, named):

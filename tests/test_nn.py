@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latentcast.autoencoder import AutoencoderConfig, build_autoencoder
 from latentcast.errors import CheckpointError, ConfigError, NonFiniteGradientError, ShapeError
 from latentcast.nn import (
     Adam,
@@ -24,6 +25,7 @@ from latentcast.nn import (
     make_optimizer,
     save_checkpoint,
 )
+from latentcast.seqmodels import SeqModelConfig, build_seq_model
 
 
 def init_all(model, seed=0, slope=0.01, dtype=np.float32):
@@ -503,3 +505,59 @@ class TestGradcheckSpot:
             t = np.abs(rng.normal(size=y.shape))
             err = check_model_gradients(model, x, t, kind)
             assert err < 1e-4, f"{kind}: {err}"
+
+
+# every predictor kind, the layered ones also two deep, and the autoencoder
+_MODEL_KINDS = [("rnn", 1), ("rnn", 2), ("lstm", 1), ("gru", 1), ("convlstm", 1),
+                ("convlstm", 2), ("cnn3d", None), ("crnn", None), ("autoencoder", None)]
+
+
+def small_model(kind, layers, dtype=np.float32):
+    """A small model of ``kind`` with an input batch and a target for it."""
+    rng = np.random.default_rng(0)
+    if kind == "autoencoder":
+        model = build_autoencoder(AutoencoderConfig(dims=[4, 8], input_size=16), seed=3)
+        x = rng.random((3, 16, 16, 1))
+    else:
+        config = SeqModelConfig(kind=kind, hidden_size=4, hidden_layers=layers)
+        model = build_seq_model(config, (4, 4, 3), seed=3)
+        x = rng.random((3, 5, 4, 4, 3))
+    model.cast(dtype)
+    y = model.forward(x.astype(dtype), train=False)
+    return model, x.astype(dtype), rng.random(y.shape).astype(dtype)
+
+
+def held_caches(model, eval_mode=False):
+    """Names of the layers that hold a cache; BatchNorm keeps its eval-mode one."""
+    return [layer.name for layer in model.layers
+            if getattr(layer, "_caches", None)
+            or (getattr(layer, "_cache", None) is not None
+                and not (eval_mode and isinstance(layer, BatchNorm)))]
+
+
+class TestCacheLifetime:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind, layers", _MODEL_KINDS)
+    def test_parameter_only_backward_gives_the_same_gradients(self, kind, layers, dtype):
+        grads = []
+        for need_dx in (True, False):
+            model, x, target = small_model(kind, layers, dtype)
+            model.zero_grads()
+            _, d = loss_with_grad(LossKind.MSE, model.forward(x, train=True), target)
+            dx = model.backward(d, need_dx=need_dx)
+            assert dx.shape == x.shape if need_dx else dx is None
+            grads.append({k: v.tobytes() for k, v in model.grads().items()})
+        assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize("need_dx", [True, False])
+    @pytest.mark.parametrize("kind, layers", _MODEL_KINDS)
+    def test_caches_live_from_training_forward_to_backward(self, kind, layers, need_dx):
+        model, x, target = small_model(kind, layers)
+        assert held_caches(model, eval_mode=True) == []
+        _, d = loss_with_grad(LossKind.MSE, model.forward(x, train=True), target)
+        assert held_caches(model) != []
+        model.backward(d, need_dx=need_dx)
+        assert held_caches(model) == []
+        model.forward(x, train=True)
+        model.forward(x, train=False)
+        assert held_caches(model, eval_mode=True) == []

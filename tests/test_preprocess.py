@@ -169,6 +169,8 @@ class TestStratifiedSubset:
     def test_oversized_request(self):
         with pytest.raises(SubsetSizeError):
             stratified_subset([("a", "x")], 2, seed=0)
+        with pytest.raises(SubsetSizeError):
+            stratified_subset([("a", "x")], 0, seed=0)
 
     def test_deterministic(self):
         pool = [(f"i{i}", f"l{i % 5}") for i in range(50)]

@@ -77,6 +77,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SeqModelConfig(kind="cnn3d", window=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_size", 0), ("hidden_size", "x"), ("hidden_size", True), ("hidden_size", 2.0),
+        ("hidden_layers", "1"), ("window", 0), ("window", False), ("learning_rate", 0.0),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", "x"),
+    ])
+    def test_numeric_fields_checked(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SeqModelConfig(kind="rnn", **{"hidden_layers": 1, field: value})
+
     def test_all_paper_kinds_enumerated(self):
         assert {k.value for k in SeqModelKind} == {
             "rnn", "lstm", "gru", "cnn3d", "convlstm", "crnn",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latentcast.autoencoder import AutoencoderConfig, build_autoencoder, decode, encode
-from latentcast.errors import ShapeError
+from latentcast.errors import ConfigError, ShapeError
 from latentcast.nn.losses import loss
 from latentcast.seqmodels import SeqModelConfig, build_seq_model, predict_next
 from latentcast.synthetic import moving_sprites
@@ -80,3 +80,10 @@ def test_wrong_rank_is_shape_error(entries, entry, extra_axes):
     shape = shape[1:] if extra_axes < 0 else (1, 1, *shape)
     with pytest.raises(ShapeError):
         fn(model, np.zeros(shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize("changes", [{"batch_size": 0}, {"max_epochs": 0}, {"patience": -1},
+                                     {"patience": 1.5}, {"batch_size": True}])
+def test_schedule_fields_checked(changes):
+    with pytest.raises(ConfigError):
+        TrainSchedule(**changes)
