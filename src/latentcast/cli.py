@@ -341,7 +341,7 @@ def _cmd_bench(args) -> int:
     values = VideoDataset.load(args.latents or args.frames).data
     inputs, _, _ = window_dataset(values[: min(8, len(values))], model.config.window)
     report = benchmark_inference(model, inputs, warmup=args.warmup, iters=args.iters)
-    text = json.dumps(report.to_dict(), indent=2)
+    text = json.dumps(asdict(report), indent=2)
     if args.out:
         Path(args.out).write_text(text)
     print(text)
@@ -357,7 +357,7 @@ def _cmd_predict(args) -> int:
         if not split.test_ids:
             raise DataError(f"split file {args.split} names no test sequences")
         ds = ds.select(split.test_ids)
-    loss, kl, dropped, pred, truth = _test_stage(autoencoder, model, ds.data, PipelineTiming())
+    loss, kl, dropped, pred, truth, _ = _test_stage(autoencoder, model, ds.data, PipelineTiming())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_array_file(out / "pred.npy", pred)

@@ -21,7 +21,6 @@ from .autoencoder import (
     build_autoencoder,
     decode,
     encode_dataset,
-    reconstruct,
     train_autoencoder,
 )
 from .dataio import DatasetSplit, VideoDataset, split_sequences
@@ -328,11 +327,12 @@ def forecast(model: SeqPredictor, sequences: np.ndarray) -> tuple[float, np.ndar
 
 def _test_stage(
     autoencoder: Autoencoder, model: SeqPredictor, test: np.ndarray, timing: PipelineTiming
-) -> tuple[float, float, int, np.ndarray, np.ndarray]:
+) -> tuple[float, float, int, np.ndarray, np.ndarray, np.ndarray]:
     """Stages 1-3 on the (N, T, H, W, C) test sequences: encode, latent KL,
     ``forecast``, decode. Adds to the encode, predict and decode timings;
     returns the stage-2 test loss, the KL and its dropped units, the
-    predicted frames and the truth frames they are scored against."""
+    predicted frames, the truth frames they are scored against and the
+    test latents."""
     t0 = time.perf_counter()
     latents = encode_dataset(autoencoder, test)
     timing.stage1_encode_s += time.perf_counter() - t0
@@ -345,7 +345,8 @@ def _test_stage(
     t0 = time.perf_counter()
     pred = decode(autoencoder, pred_latents.astype(np.float32, copy=False))
     timing.stage3_decode_s += time.perf_counter() - t0
-    return test_loss, latent_kl, dropped, pred, _flat_frames(test[:, model.config.window :])
+    truth = _flat_frames(test[:, model.config.window :])
+    return test_loss, latent_kl, dropped, pred, truth, latents
 
 
 def _stage2(
@@ -409,15 +410,15 @@ def run_pipeline(
     model, seq_run = _stage2(
         seq_config, seed, seq_schedule, split, tracker, "stage2", lat_train, lat_val, timing
     )
-    seq_run.final_test_loss, latent_kl, dropped, pred_frames, truth = _test_stage(
+    seq_run.final_test_loss, latent_kl, dropped, pred_frames, truth, latents = _test_stage(
         autoencoder, model, test, timing
     )
     prediction = score_frames(pred_frames, truth)
     expected = len(split.test_ids) * (dataset.data.shape[1] - seq_config.window)
     assert len(pred_frames) == expected, "prediction count must be n_test * (T - window)"
 
-    test_frames = _flat_frames(test)
-    ae_test = score_frames(reconstruct(autoencoder, test_frames), test_frames, with_intervals=False)
+    recon = decode(autoencoder, _flat_frames(latents))  # the test frames are encoded once
+    ae_test = score_frames(recon, _flat_frames(test), with_intervals=False)
     ae_run.final_test_loss = ae_test.mse
 
     return PipelineResult(
@@ -480,9 +481,6 @@ class BenchReport:
     iterations: int
     warmup: int
     hardware: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def hardware_descriptor() -> str:

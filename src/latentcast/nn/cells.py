@@ -1,19 +1,22 @@
 """Recurrent cells with per-timestep caches, and the ``Recurrence`` layer that
 unrolls a stack of them for backpropagation through time.
 
-``step`` returns (output, new_state, cache); ``backstep`` consumes one cache
-plus the incoming output/state gradients and returns (dx, dstate), adding
-parameter gradients into the cell's accumulators; with ``need_dx=False`` it
-skips the input gradient and returns ``None`` for dx. States reset to zeros
-at the start of every window. ``Recurrence`` keeps the step caches of a
-training-mode forward only, and its backward releases each one as it is read.
+A cell is a rule (Elman, LSTM) over a transform of (x, h) to the
+pre-activations ``z``: ``x Wx + h Wh + b``, or a convolution for ``ConvCell``.
+Each rule is written once for both transforms; the GRU keeps its own step, as
+its reset gate scales only the hidden part of ``z``. ``step`` returns
+(output, new_state, cache); ``backstep`` consumes one cache plus the incoming
+output/state gradients and returns (dx, dstate), adding parameter gradients
+into the cell's accumulators; with ``need_dx=False`` it skips the input
+gradient and returns ``None`` for dx. States reset to zeros at the start of
+every window. ``Recurrence`` follows the layers' cache rule: step caches of a
+training-mode forward only, each released as its backward reads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError
 from . import functional as F
 from .init import he_normal
 from .layers import Layer, Module
@@ -21,8 +24,8 @@ from .layers import Layer, Module
 
 class Cell(Module):
     """Recurrent cell with ``gates`` pre-activation blocks and ``state_count``
-    state arrays. The parameters here are those of the vector cells, whose
-    blocks are ``x Wx + h Wh + b``; ``ConvCell`` replaces them."""
+    state arrays. The parameters and transform here are those of the vector
+    cells, ``z = x Wx + h Wh + b``; ``ConvCell`` replaces them."""
 
     gates = 1
     state_count = 1
@@ -49,6 +52,15 @@ class Cell(Module):
     def backstep(self, cache, dh, dstate, need_dx=True):
         raise NotImplementedError
 
+    def _transform(self, x, h):
+        """(z, cache)"""
+        return x @ self.params["wx"] + h @ self.params["wh"] + self.params["b"], (x, h)
+
+    def _transform_backward(self, dz, cache, need_dx):
+        """(dx, dh_prev) through ``_transform``; dx is None without ``need_dx``."""
+        x, h = cache
+        return self._affine_backward(x, dz, h, dz, need_dx)
+
     def _affine_backward(self, x, dzx, h, dzh, need_dx):
         """Gradients through ``x Wx + h Wh + b`` given the pre-activation
         gradient of the input part ``dzx`` and of the hidden part ``dzh``."""
@@ -58,75 +70,104 @@ class Cell(Module):
         return (dzx @ self.params["wx"].T if need_dx else None), dzh @ self.params["wh"].T
 
 
-def _lstm_gates(z, c, n):
-    """LSTM update from pre-activations packed [input, forget, candidate,
-    output] along the last axis."""
-    i = F.sigmoid(z[..., :n])
-    f = F.sigmoid(z[..., n : 2 * n])
-    g = np.tanh(z[..., 2 * n : 3 * n])
-    o = F.sigmoid(z[..., 3 * n :])
-    c_new = f * c + i * g
-    tc = np.tanh(c_new)
-    return o * tc, c_new, (c, i, f, g, o, tc)
+class ConvCell(Cell):
+    """Cell whose transform is one 3x3 convolution over the
+    channel-concatenated (input, hidden) maps; the hidden state is shaped
+    like the input map with ``hidden_size`` channels."""
+
+    def init_params(self, rng, slope, dtype=np.float32):
+        ci, ch, g = self.input_size, self.hidden_size, self.gates
+        self._register("w", he_normal((3, 3, ci + ch, g * ch), 9 * (ci + ch), slope, rng, dtype))
+        self._register("b", np.zeros(g * ch, dtype=dtype))
+
+    def _transform(self, x, h):
+        return F.conv2d_forward(
+            np.concatenate([x, h], axis=3), self.params["w"], self.params["b"], stride=1, padding=1
+        )
+
+    def _transform_backward(self, dz, cache, need_dx):
+        m = self.input_size
+        dxc, dw, db = F.conv2d_backward(dz, cache, self.params["w"], 0 if need_dx else m)
+        self.grads["w"] += dw
+        self.grads["b"] += db
+        return (dxc[..., :m], dxc[..., m:]) if need_dx else (None, dxc)
 
 
-def _lstm_gates_backward(gate_cache, dh, dstate):
-    """(d pre-activations, d previous cell state) of ``_lstm_gates``."""
-    c_prev, i, f, g, o, tc = gate_cache
-    dc_next = None
-    if dstate is not None:
-        dh = dh + dstate[0]
-        dc_next = dstate[1]
-    do = dh * tc
-    dc = F.tanh_backward(dh * o, tc)
-    if dc_next is not None:
-        dc = dc + dc_next
-    dz = np.concatenate(
-        [
-            F.sigmoid_backward(dc * g, i),
-            F.sigmoid_backward(dc * c_prev, f),
-            F.tanh_backward(dc * i, g),
-            F.sigmoid_backward(do, o),
-        ],
-        axis=-1,
-    )
-    return dz, dc * f
-
-
-class ElmanCell(Cell):
-    """h' = tanh(x Wx + h Wh + b)"""
+# The rules are mixins ahead of ``Cell`` or ``ConvCell``, so no cell class
+# inherits another cell's step: a wrapper set on one class counts it alone.
+class _ElmanRule:
+    """h' = tanh(z)"""
 
     def step(self, x, state):
         (h,) = state
-        h_new = np.tanh(x @ self.params["wx"] + h @ self.params["wh"] + self.params["b"])
-        return h_new, (h_new,), (x, h, h_new)
+        z, tcache = self._transform(x, h)
+        h_new = np.tanh(z)
+        return h_new, (h_new,), (tcache, h_new)
 
     def backstep(self, cache, dh, dstate, need_dx=True):
-        x, h_prev, h_new = cache
+        tcache, h_new = cache
         if dstate is not None:
             dh = dh + dstate[0]
-        da = F.tanh_backward(dh, h_new)
-        dx, dh_prev = self._affine_backward(x, da, h_prev, da, need_dx)
+        dx, dh_prev = self._transform_backward(F.tanh_backward(dh, h_new), tcache, need_dx)
         return dx, (dh_prev,)
 
 
-class LSTMCell(Cell):
-    """Gates packed as [input, forget, candidate, output]."""
+class _LSTMRule:
+    """LSTM update from pre-activations packed [input, forget, candidate,
+    output] along the last axis."""
 
     gates = 4
     state_count = 2
 
     def step(self, x, state):
         h, c = state
-        z = x @ self.params["wx"] + h @ self.params["wh"] + self.params["b"]
-        h_new, c_new, gate_cache = _lstm_gates(z, c, self.hidden_size)
-        return h_new, (h_new, c_new), (x, h, gate_cache)
+        z, tcache = self._transform(x, h)
+        n = self.hidden_size
+        i = F.sigmoid(z[..., :n])
+        f = F.sigmoid(z[..., n : 2 * n])
+        g = np.tanh(z[..., 2 * n : 3 * n])
+        o = F.sigmoid(z[..., 3 * n :])
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        h_new = o * tc
+        return h_new, (h_new, c_new), (tcache, c, i, f, g, o, tc)
 
     def backstep(self, cache, dh, dstate, need_dx=True):
-        x, h_prev, gate_cache = cache
-        dz, dc_prev = _lstm_gates_backward(gate_cache, dh, dstate)
-        dx, dh_prev = self._affine_backward(x, dz, h_prev, dz, need_dx)
-        return dx, (dh_prev, dc_prev)
+        tcache, c_prev, i, f, g, o, tc = cache
+        if dstate is not None:
+            dh = dh + dstate[0]
+        do = dh * tc
+        dc = F.tanh_backward(dh * o, tc)
+        if dstate is not None:
+            dc = dc + dstate[1]
+        dz = np.concatenate(
+            [
+                F.sigmoid_backward(dc * g, i),
+                F.sigmoid_backward(dc * c_prev, f),
+                F.tanh_backward(dc * i, g),
+                F.sigmoid_backward(do, o),
+            ],
+            axis=-1,
+        )
+        dx, dh_prev = self._transform_backward(dz, tcache, need_dx)
+        return dx, (dh_prev, dc * f)
+
+
+class ElmanCell(_ElmanRule, Cell):
+    """h' = tanh(x Wx + h Wh + b)"""
+
+
+class LSTMCell(_LSTMRule, Cell):
+    """Vector LSTM."""
+
+
+class ConvLSTMCell(_LSTMRule, ConvCell):
+    """LSTM with convolutional transforms, gates packed as in ``LSTMCell``."""
+
+
+class ConvElmanCell(_ElmanRule, ConvCell):
+    """Elman recurrence with convolutional transforms (tanh), used by the
+    convolutional-RNN predictor."""
 
 
 class GRUCell(Cell):
@@ -164,75 +205,6 @@ class GRUCell(Cell):
         return dx, (dh_prev + dh * u,)
 
 
-class ConvCell(Cell):
-    """Cell whose input-to-state and state-to-state transforms are a single
-    odd-sized convolution over the channel-concatenated (input, hidden) maps;
-    the hidden state is shaped like the input map with ``hidden_channels``."""
-
-    def __init__(self, name, in_channels, hidden_channels, kernel=3):
-        if kernel % 2 != 1:
-            raise ConfigError(f"{type(self).__name__} kernel must be odd so the state keeps "
-                              "its shape")
-        super().__init__(name, in_channels, hidden_channels)
-        self.kernel = kernel
-
-    def init_params(self, rng, slope, dtype=np.float32):
-        k, ci, ch, g = self.kernel, self.input_size, self.hidden_size, self.gates
-        self._register("w", he_normal((k, k, ci + ch, g * ch), k * k * (ci + ch), slope, rng, dtype))
-        self._register("b", np.zeros(g * ch, dtype=dtype))
-
-    def _conv(self, x, h):
-        return F.conv2d_forward(
-            np.concatenate([x, h], axis=3), self.params["w"], self.params["b"], stride=1,
-            padding=self.kernel // 2,
-        )
-
-    def _conv_backward(self, dz, conv_cache, need_dx):
-        """(dx, dh_prev) through ``_conv``; dx is None without ``need_dx``."""
-        m = self.input_size
-        dxc, dw, db = F.conv2d_backward(dz, conv_cache, self.params["w"], 0 if need_dx else m)
-        self.grads["w"] += dw
-        self.grads["b"] += db
-        return (dxc[..., :m], dxc[..., m:]) if need_dx else (None, dxc)
-
-
-class ConvLSTMCell(ConvCell):
-    """LSTM with convolutional transforms, gates packed as in ``LSTMCell``."""
-
-    gates = 4
-    state_count = 2
-
-    def step(self, x, state):
-        h, c = state
-        z, conv_cache = self._conv(x, h)
-        h_new, c_new, gate_cache = _lstm_gates(z, c, self.hidden_size)
-        return h_new, (h_new, c_new), (conv_cache, gate_cache)
-
-    def backstep(self, cache, dh, dstate, need_dx=True):
-        conv_cache, gate_cache = cache
-        dz, dc_prev = _lstm_gates_backward(gate_cache, dh, dstate)
-        dx, dh_prev = self._conv_backward(dz, conv_cache, need_dx)
-        return dx, (dh_prev, dc_prev)
-
-
-class ConvElmanCell(ConvCell):
-    """Elman recurrence with convolutional transforms (tanh), used by the
-    convolutional-RNN predictor."""
-
-    def step(self, x, state):
-        (h,) = state
-        z, conv_cache = self._conv(x, h)
-        h_new = np.tanh(z)
-        return h_new, (h_new,), (conv_cache, h_new)
-
-    def backstep(self, cache, dh, dstate, need_dx=True):
-        conv_cache, h_new = cache
-        if dstate is not None:
-            dh = dh + dstate[0]
-        dx, dh_prev = self._conv_backward(F.tanh_backward(dh, h_new), conv_cache, need_dx)
-        return dx, (dh_prev,)
-
-
 class Recurrence(Layer):
     """Backpropagation through time over a (b, k, ...) window: steps the
     stacked cells frame by frame from zero states and returns the top cell's
@@ -242,24 +214,23 @@ class Recurrence(Layer):
     def __init__(self, name, cells: list[Cell]):
         super().__init__(name)
         self.cells = cells
-        self._caches: list[list] = []
 
     def modules(self):
         return list(self.cells)
 
     def forward(self, x, train=True):
         states = [cell.init_state(x[:, 0]) for cell in self.cells]
-        self._caches = [[] for _ in self.cells] if train else []
+        self._cache = [[] for _ in self.cells] if train else None  # step caches per cell
         for t in range(x.shape[1]):
             h = x[:, t]
             for layer, cell in enumerate(self.cells):
                 h, states[layer], cache = cell.step(h, states[layer])
                 if train:
-                    self._caches[layer].append(cache)
+                    self._cache[layer].append(cache)
         return h
 
     def backward(self, dy, need_dx=True):
-        caches, self._caches = self._caches, []
+        caches = self._take_cache()
         k = len(caches[0])
         zero = np.zeros_like(dy)
         dstates = [None] * len(self.cells)

@@ -2,8 +2,9 @@
 
 Every function returns the forward value plus whatever the matching
 backward needs, so recurrent cells can keep one cache per timestep; the
-caller decides how long a cache lives. Weighted backward kernels return dx
-for input channels ``dx_from`` on, or None for ``dx_from=None``.
+caller keeps it from a training-mode forward to its backward only, and
+eval-mode ``batchnorm_forward`` returns ``None`` for it. Weighted backward
+kernels return dx for input channels ``dx_from`` on, or None for ``dx_from=None``.
 Layout is channels-last: images (N, H, W, C), volumes (N, D, H, W, C).
 """
 
@@ -157,15 +158,13 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, momentum, eps, 
     place in train mode and consumed in eval mode.
 
     Train mode centres ``x`` once and normalizes the centred copy in place;
-    the cache holds ``xhat``. Eval mode is one affine map and caches the
-    input itself, from which backward rebuilds ``xhat``."""
-    axes = tuple(range(x.ndim - 1))
+    the cache holds ``xhat``. Eval mode is one affine map with no cache."""
     if not train:
-        inv = 1.0 / np.sqrt(running_var + eps)
-        scale = gamma * inv
+        scale = gamma * (1.0 / np.sqrt(running_var + eps))
         y = x * scale
         y += beta - running_mean * scale
-        return y, (x, running_mean.copy(), inv, axes, False)
+        return y, None
+    axes = tuple(range(x.ndim - 1))
     count = x.size // x.shape[-1]
     mean = x.mean(axis=axes)
     xhat = x - mean
@@ -179,22 +178,18 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, momentum, eps, 
     xhat *= inv
     y = xhat * gamma
     y += beta
-    return y, (xhat, None, inv, axes, True)
+    return y, (xhat, inv, axes)
 
 
 def batchnorm_backward(dy, cache, gamma):
-    """Closed-form input gradient (Ioffe & Szegedy 2015):
-    dx = gamma*inv*(dy - dbeta/count - xhat*dgamma/count) in train mode,
-    dy*gamma*inv in eval mode, where the running statistics are constants."""
-    src, mean, inv, axes, train = cache
-    xhat = src if train else (src - mean) * inv
+    """Closed-form input gradient of a train-mode forward (Ioffe & Szegedy
+    2015): dx = gamma*inv*(dy - dbeta/count - xhat*dgamma/count)."""
+    xhat, inv, axes = cache
     c = xhat.shape[-1]
     count = xhat.size // c
     dbeta = dy.sum(axis=axes)
     dgamma = np.einsum("ij,ij->j", dy.reshape(count, c), xhat.reshape(count, c))
     scale = gamma * inv
-    if not train:
-        return dy * scale, dgamma, dbeta
     dx = xhat * (dgamma / -count)
     dx += dy
     dx -= dbeta / count

@@ -1,16 +1,18 @@
 """Feedforward layers: named parameters, cached forward, accumulating backward.
 
-A layer's cache lives from a training-mode forward to the backward that
-reads it: an eval-mode forward keeps none (BatchNorm excepted), and every
-backward drops the cache it consumed. With ``need_dx=False`` a weighted
-layer's backward computes its parameter gradients only and returns ``None``.
+One cache rule holds for every layer, ``Recurrence`` included: the cache
+lives from a training-mode forward to the backward that reads it. An
+eval-mode forward keeps none, every backward drops the cache it consumed,
+and a backward with no cache to read raises ``LatentcastError`` naming the
+layer. With ``need_dx=False`` a weighted layer's backward computes its
+parameter gradients only and returns ``None``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, LatentcastError, ShapeError
 from . import functional as F
 from .init import he_normal
 
@@ -55,6 +57,13 @@ class Layer(Module):
     def backward(self, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         raise NotImplementedError
 
+    def _take_cache(self):
+        """Take and clear the cache of the last training-mode forward."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise LatentcastError(f"layer {self.name!r}: backward without a training forward")
+        return cache
+
 
 class ParamLayer(Layer):
     """Layer with one He-initialised weight ``w`` (fan-in ``fan_in``) and one
@@ -78,8 +87,8 @@ class ParamLayer(Layer):
         return y
 
     def backward(self, dy, need_dx=True):
-        cache, self._cache = self._cache, None
-        dx, dw, db = self._backward(dy, cache, self.params["w"], 0 if need_dx else None)
+        dx, dw, db = self._backward(dy, self._take_cache(), self.params["w"],
+                                    0 if need_dx else None)
         self.grads["w"] += dw
         self.grads["b"] += db
         return dx
@@ -164,8 +173,7 @@ class BatchNorm(Layer):
         return y
 
     def backward(self, dy, need_dx=True):
-        cache, self._cache = self._cache, None
-        dx, dgamma, dbeta = F.batchnorm_backward(dy, cache, self.params["gamma"])
+        dx, dgamma, dbeta = F.batchnorm_backward(dy, self._take_cache(), self.params["gamma"])
         self.grads["gamma"] += dgamma
         self.grads["beta"] += dbeta
         return dx
@@ -187,8 +195,7 @@ class LeakyReLU(Layer):
         return y
 
     def backward(self, dy, need_dx=True):
-        cache, self._cache = self._cache, None
-        return F.leaky_relu_backward(dy, cache, self.slope)
+        return F.leaky_relu_backward(dy, self._take_cache(), self.slope)
 
 
 class Sigmoid(Layer):
@@ -198,8 +205,7 @@ class Sigmoid(Layer):
         return y
 
     def backward(self, dy, need_dx=True):
-        y, self._cache = self._cache, None
-        return F.sigmoid_backward(dy, y)
+        return F.sigmoid_backward(dy, self._take_cache())
 
 
 class Reshape(Layer):

@@ -48,12 +48,6 @@ class Model:
         for m in self._modules:
             m.zero_grads()
 
-    def set_params(self, flat: dict[str, np.ndarray]) -> None:
-        _copy_exact("parameter", self.params(), flat)
-
-    def set_buffers(self, flat: dict[str, np.ndarray]) -> None:
-        _copy_exact("buffer", self.buffers(), flat)
-
     def param_count(self) -> int:
         return sum(v.size for v in self.params().values())
 
@@ -74,12 +68,8 @@ class Model:
         return state
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        own = self.params()
-        bufs = self.buffers()
-        for name, value in snapshot.items():
-            target = own.get(name, bufs.get(name))
-            if target is not None:
-                np.copyto(target, value)
+        """Copy back a ``snapshot`` of this model's parameters and buffers."""
+        _copy_exact("state array", {**self.params(), **self.buffers()}, snapshot)
 
     # subclasses provide the actual computation
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
@@ -221,8 +211,10 @@ def load_checkpoint(path: str | Path):
     if kind not in _MODEL_BUILDERS:
         raise CheckpointError(f"no builder registered for model kind {kind!r}")
     model = _MODEL_BUILDERS[kind](model_spec)
-    model.set_params({n: _read_array(path / f) for n, f in manifest["params"].items()})
-    model.set_buffers({n: _read_array(path / f) for n, f in manifest.get("buffers", {}).items()})
+    _copy_exact("parameter", model.params(),
+                {n: _read_array(path / f) for n, f in manifest["params"].items()})
+    _copy_exact("buffer", model.buffers(),
+                {n: _read_array(path / f) for n, f in manifest.get("buffers", {}).items()})
     optimizer = None
     if "optimizer" in manifest:
         opt_info = manifest["optimizer"]

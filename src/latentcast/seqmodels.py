@@ -165,7 +165,7 @@ class ConvLSTMPredictor(SeqPredictor):
 
     def _layers(self, config, h, w, c):
         ch = config.hidden_size
-        cells = [ConvLSTMCell(f"cell{i}", c if i == 0 else ch, ch, kernel=3)
+        cells = [ConvLSTMCell(f"cell{i}", c if i == 0 else ch, ch)
                  for i in range(config.hidden_layers)]
         return [Recurrence("recurrence", cells), Conv2D("head", ch, c, kernel=1, stride=1, padding=0)]
 
@@ -196,7 +196,7 @@ class CRNNPredictor(SeqPredictor):
             Conv2D("feat_conv", c, ch, kernel=3, stride=1, padding=1),
             LeakyReLU("feat_act", config.leaky_slope),
             Reshape("unfold", (config.window, h, w, ch)),
-            Recurrence("recurrence", [ConvElmanCell("rec", ch, ch, kernel=3)]),
+            Recurrence("recurrence", [ConvElmanCell("rec", ch, ch)]),
             Conv2D("head", ch, c, kernel=1, stride=1, padding=0),
         ]
 

@@ -6,16 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentcast.autoencoder import AutoencoderConfig, build_autoencoder
-from latentcast.errors import CheckpointError, ConfigError, NonFiniteGradientError, ShapeError
+from latentcast.errors import (
+    CheckpointError,
+    ConfigError,
+    LatentcastError,
+    NonFiniteGradientError,
+    ShapeError,
+)
 from latentcast.nn import (
     Adam,
     BatchNorm,
     Conv2D,
+    Conv3D,
     ConvTranspose2D,
     Dense,
+    ElmanCell,
     LeakyReLU,
     LossKind,
     RMSProp,
+    Recurrence,
     Sequential,
     Sigmoid,
     he_normal,
@@ -301,28 +310,6 @@ class TestBatchNorm:
         assert np.abs(mean).max() < 1e-5
         assert np.abs(var - 1.0).max() < 1e-3
 
-    def test_eval_backward_gradients(self):
-        from latentcast.nn.gradcheck import finite_difference, max_relative_error
-
-        rng = np.random.default_rng(3)
-        layer = BatchNorm("bn", 3)
-        layer.init_params(rng, 0.0, dtype=np.float64)
-        layer.params["gamma"][:] = rng.normal(size=3)
-        layer.params["beta"][:] = rng.normal(size=3)
-        layer.running_mean[:] = rng.normal(size=3)
-        layer.running_var[:] = rng.uniform(0.5, 2.0, size=3)
-        x = rng.normal(size=(4, 3, 3, 3))
-        weights = rng.normal(size=x.shape)
-        layer.zero_grads()
-        layer.forward(x, train=False)
-        dx = layer.backward(weights)
-        analytic = {"x": dx, **{k: v.copy() for k, v in layer.grads.items()}}
-        numeric = finite_difference(
-            lambda: float((layer.forward(x, train=False) * weights).sum()),
-            {"x": x, **layer.params},
-        )
-        assert max_relative_error(analytic, numeric) < 1e-4
-
     def test_eval_uses_running_stats(self):
         layer = BatchNorm("bn", 2)
         layer.init_params(np.random.default_rng(0), 0.0)
@@ -527,12 +514,22 @@ def small_model(kind, layers, dtype=np.float32):
     return model, x.astype(dtype), rng.random(y.shape).astype(dtype)
 
 
-def held_caches(model, eval_mode=False):
-    """Names of the layers that hold a cache; BatchNorm keeps its eval-mode one."""
-    return [layer.name for layer in model.layers
-            if getattr(layer, "_caches", None)
-            or (getattr(layer, "_cache", None) is not None
-                and not (eval_mode and isinstance(layer, BatchNorm)))]
+def held_caches(model):
+    """Names of the layers that hold a cache."""
+    return [layer.name for layer in model.layers if layer._cache is not None]
+
+
+# one layer of each kind with an input shape for it
+_LAYERS = {
+    "Conv2D": (lambda: Conv2D("conv", 1, 2), (2, 6, 6, 1)),
+    "ConvTranspose2D": (lambda: ConvTranspose2D("deconv", 2, 1), (2, 3, 3, 2)),
+    "Conv3D": (lambda: Conv3D("vol", 1, 2), (2, 3, 4, 4, 1)),
+    "Dense": (lambda: Dense("dense", 3, 2), (2, 3)),
+    "BatchNorm": (lambda: BatchNorm("bn", 2), (4, 2)),
+    "LeakyReLU": (lambda: LeakyReLU("act"), (2, 3)),
+    "Sigmoid": (lambda: Sigmoid("sig"), (2, 3)),
+    "Recurrence": (lambda: Recurrence("rec", [ElmanCell("cell", 3, 2)]), (2, 4, 3)),
+}
 
 
 class TestCacheLifetime:
@@ -553,11 +550,25 @@ class TestCacheLifetime:
     @pytest.mark.parametrize("kind, layers", _MODEL_KINDS)
     def test_caches_live_from_training_forward_to_backward(self, kind, layers, need_dx):
         model, x, target = small_model(kind, layers)
-        assert held_caches(model, eval_mode=True) == []
+        assert held_caches(model) == []
         _, d = loss_with_grad(LossKind.MSE, model.forward(x, train=True), target)
         assert held_caches(model) != []
         model.backward(d, need_dx=need_dx)
         assert held_caches(model) == []
         model.forward(x, train=True)
         model.forward(x, train=False)
-        assert held_caches(model, eval_mode=True) == []
+        assert held_caches(model) == []
+
+    @pytest.mark.parametrize("case", ["after-eval-forward", "second-backward"])
+    @pytest.mark.parametrize("kind", list(_LAYERS))
+    def test_backward_without_training_forward_is_typed(self, kind, case):
+        build, shape = _LAYERS[kind]
+        layer = build()
+        rng = np.random.default_rng(0)
+        for m in layer.modules():
+            m.init_params(rng, 0.01)
+        y = layer.forward(rng.random(shape).astype(np.float32), train=case == "second-backward")
+        if case == "second-backward":
+            layer.backward(np.ones_like(y))
+        with pytest.raises(LatentcastError, match=f"layer '{layer.name}'"):
+            layer.backward(np.ones_like(y))

@@ -2,8 +2,11 @@
 objects by dotted path; every path must still resolve to a callable."""
 
 import importlib.util
+import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -23,3 +26,47 @@ def test_every_target_resolves(tracing):
         mod_path, _, attr = path.rpartition(".")
         owner = tracing._resolve(mod_path)
         assert callable(getattr(owner, attr)), path
+
+
+def wrapped_names():
+    """Every function of a package module or class that wraps another."""
+    found = []
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.partition(".")[0] == "latentcast":
+            for name, value in vars(mod).items():
+                owners = [(name, value)]
+                if isinstance(value, type) and value.__module__.startswith("latentcast"):
+                    owners += [(f"{name}.{k}", v) for k, v in vars(value).items()]
+                found += [f"{mod_name}.{n}" for n, v in owners
+                          if isinstance(v, types.FunctionType) and hasattr(v, "__wrapped__")]
+    return found
+
+
+@pytest.mark.parametrize("kind, layers, cell", [
+    ("convlstm", 2, "ConvLSTMCell"),
+    ("crnn", None, "ConvElmanCell"),
+    ("lstm", 1, "LSTMCell"),
+    ("rnn", 1, "ElmanCell"),
+])
+def test_cell_spans_count_only_their_own_class(tracing, kind, layers, cell):
+    """The Elman and LSTM rules are shared by vector and conv cells; each
+    traced class must still count only its own steps, and uninstalling must
+    leave no wrapper behind."""
+    from latentcast.seqmodels import SeqModelConfig, build_seq_model
+
+    config = SeqModelConfig(kind=kind, hidden_size=4, hidden_layers=layers, window=3)
+    model = build_seq_model(config, (4, 4, 3), seed=0)
+    x = np.random.default_rng(0).random((2, 3, 4, 4, 3)).astype(np.float32)
+    before = wrapped_names()
+    rec = tracing.Recorder()
+    rec.install()
+    try:
+        assert len(wrapped_names()) > len(before)
+        model.backward(np.ones_like(model.forward(x, train=True)))
+    finally:
+        rec.uninstall()
+    spans = {name.removeprefix("nn.cells."): calls
+             for name, (calls, _) in rec.self_times().items() if name.startswith("nn.cells.")}
+    steps = 3 * (layers or 1)
+    assert spans == {f"{cell}.step": steps, f"{cell}.backstep": steps}
+    assert wrapped_names() == before
