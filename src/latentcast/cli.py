@@ -250,8 +250,8 @@ def _select_split(
 def _load_model(path: str, kind: str) -> Model:
     """The model of a checkpoint, which must hold a ``kind`` model
     (``autoencoder`` or ``seq_predictor``)."""
-    model, _, manifest = load_checkpoint(path)
-    found = manifest["model"].get("model_kind")
+    model = load_checkpoint(path)[0]
+    found = model.spec()["model_kind"]
     if found != kind:
         raise FormatError(f"{path} holds a {found} checkpoint, expected {kind}")
     return model

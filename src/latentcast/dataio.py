@@ -190,11 +190,21 @@ class DatasetSplit:
 
 
 def parse_array_file(data: bytes) -> tuple[list[int], np.ndarray]:
-    """Parse an ``.npy`` v1 byte stream into (shape, values).
+    """Parse an ``.npy`` v1 byte stream of frame data into (shape, values).
 
     uint8 payloads are rescaled to float32 in [0, 1]; float payloads are
-    returned unchanged. Only C-order little-endian files are accepted.
+    returned unchanged.
     """
+    shape, values = _read_npy(data)
+    if values.dtype == np.uint8:
+        values = values.astype(np.float32) / 255.0
+    return shape, values
+
+
+def _read_npy(data: bytes) -> tuple[list[int], np.ndarray]:
+    """Parse an ``.npy`` v1 byte stream into (shape, values) in the stored
+    dtype, as a read-only view of ``data``. Only C-order little-endian files
+    are accepted."""
     if data[:6] != NPY_MAGIC:
         raise FormatError("not an .npy file (bad magic)")
     if len(data) < 10:
@@ -233,8 +243,6 @@ def parse_array_file(data: bytes) -> tuple[list[int], np.ndarray]:
         values = np.frombuffer(payload, dtype=dtype, count=count).reshape(shape)
     except ValueError as exc:
         raise FormatError(f"shape {tuple(shape)} cannot be held: {exc}") from exc
-    if dtype == np.uint8:
-        values = values.astype(np.float32) / 255.0
     return shape, values
 
 

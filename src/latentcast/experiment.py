@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -76,10 +77,13 @@ def grid_enumerate(grid: dict[str, list], kind: SeqModelKind | None = None) -> l
 
 
 def _map(fn, tasks: list, jobs: int) -> list:
-    """``fn`` over ``tasks`` in task order, in a pool of ``jobs`` processes
-    when ``jobs`` > 1."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """``fn`` over ``tasks`` in task order, in a pool of at most ``jobs``
+    processes, and no more than there are tasks or cores, when that is
+    more than one."""
+    _check_int("jobs", jobs)
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 

@@ -1,27 +1,28 @@
 """Model base class, sequential container, and checkpoint IO.
 
-A checkpoint is a directory: one ``.npy`` file per parameter, buffer and
-optimizer slot, plus ``manifest.json`` tying names to files along with the
-model spec, optimizer config, step count and RNG state, so training resumes
-bitwise-identically. It is written into a sibling temporary directory and
-renamed into place, so a write that fails leaves any previous checkpoint at
-the path as it was.
+A checkpoint is a directory holding one model: one ``.npy`` file per
+parameter and buffer, plus ``manifest.json`` tying names to files along
+with the model spec. It holds no optimizer or RNG state, so training cannot
+resume from it. A load gives back exactly the arrays that were saved, in
+their saved shapes and dtypes, or raises ``CheckpointError``. A checkpoint
+is written into a sibling temporary directory and renamed into place, so a
+write that fails leaves any previous checkpoint at the path as it was.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from ..dataio import _json_object, parse_array_file, write_array_file
+from ..dataio import _json_object, _read_npy, write_array_file
 from ..errors import CheckpointError
 from .layers import Layer, Module
-from .optim import Optimizer, optimizer_from_config
 
 MANIFEST_NAME = "manifest.json"
 
@@ -104,14 +105,15 @@ class Sequential(Model):
 
 def _copy_exact(kind: str, own: dict[str, np.ndarray], flat: dict[str, np.ndarray]) -> None:
     """Copy ``flat`` into ``own`` only if both name the same arrays with the
-    same shapes; otherwise raise before anything is copied."""
+    same shapes and dtypes; otherwise raise before anything is copied."""
     missing, unknown = sorted(own.keys() - flat.keys()), sorted(flat.keys() - own.keys())
     if missing or unknown:
         raise CheckpointError(f"{kind}s differ from the model: missing {missing}, unknown {unknown}")
     for name, value in flat.items():
-        if value.shape != own[name].shape:
+        if value.shape != own[name].shape or value.dtype != own[name].dtype:
             raise CheckpointError(
-                f"{kind} {name!r}: stored shape {value.shape} != model shape {own[name].shape}"
+                f"{kind} {name!r}: stored shape {value.shape} {value.dtype} "
+                f"!= model shape {own[name].shape} {own[name].dtype}"
             )
     for name, value in flat.items():
         np.copyto(own[name], value)
@@ -130,13 +132,7 @@ def _array_filename(name: str) -> str:
     return name.replace("/", "_") + ".npy"
 
 
-def save_checkpoint(
-    path: str | Path,
-    model: Model,
-    optimizer: Optimizer | None = None,
-    rng_state: dict | None = None,
-    extra: dict | None = None,
-) -> Path:
+def save_checkpoint(path: str | Path, model: Model, extra: dict | None = None) -> Path:
     """Write a checkpoint directory at ``path``, replacing a checkpoint or
     an empty directory already there; anything else at ``path`` is refused."""
     path = Path(path)
@@ -148,7 +144,7 @@ def save_checkpoint(
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     tmp.mkdir()
     try:
-        _write_checkpoint(tmp, model, optimizer, rng_state, extra)
+        _write_checkpoint(tmp, model, extra)
         if path.exists():
             old = tmp.with_suffix(".old")
             path.rename(old)
@@ -165,12 +161,12 @@ def save_checkpoint(
     return path
 
 
-def _write_checkpoint(path: Path, model, optimizer, rng_state, extra) -> None:
+def _write_checkpoint(path: Path, model: Model, extra: dict | None) -> None:
     params = model.params()
     buffers = model.buffers()
     for name, arr in {**params, **buffers}.items():
         write_array_file(path / _array_filename(name), arr)
-    manifest: dict = {
+    manifest = {
         "format": "latentcast-checkpoint",
         "version": 1,
         "model": model.spec(),
@@ -178,50 +174,37 @@ def _write_checkpoint(path: Path, model, optimizer, rng_state, extra) -> None:
         "buffers": {name: _array_filename(name) for name in buffers},
         "extra": extra or {},
     }
-    if optimizer is not None:
-        slot_files: dict[str, dict[str, str]] = {}
-        for pname, slots in optimizer.state.items():
-            slot_files[pname] = {}
-            for slot, arr in slots.items():
-                fname = _array_filename(f"opt__{slot}__{pname}")
-                write_array_file(path / fname, arr)
-                slot_files[pname][slot] = fname
-        manifest["optimizer"] = {"config": optimizer.config(), "step": optimizer.t,
-                                 "state": slot_files}
-    if rng_state is not None:
-        manifest["rng_state"] = rng_state
     (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, default=str))
 
 
-def _read_array(path: Path) -> np.ndarray:
-    shape, values = parse_array_file(path.read_bytes())
-    return values.copy()  # frombuffer views are read-only; state must be writable
-
-
-def load_checkpoint(path: str | Path):
-    """Rebuild (model, optimizer, manifest); optimizer is None if the
-    checkpoint carries no optimizer state."""
+def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
+    """Rebuild (model, manifest) from a checkpoint directory. A manifest
+    that does not build a registered model kind, or array files that are
+    not exactly that model's arrays, raise ``CheckpointError``."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
         raise CheckpointError(f"no {MANIFEST_NAME} in {path}")
     manifest = _json_object(manifest_path.read_bytes(), str(manifest_path), ("model", "params"))
-    model_spec = manifest["model"]
-    kind = model_spec.get("model_kind")
-    if kind not in _MODEL_BUILDERS:
-        raise CheckpointError(f"no builder registered for model kind {kind!r}")
-    model = _MODEL_BUILDERS[kind](model_spec)
-    _copy_exact("parameter", model.params(),
-                {n: _read_array(path / f) for n, f in manifest["params"].items()})
-    _copy_exact("buffer", model.buffers(),
-                {n: _read_array(path / f) for n, f in manifest.get("buffers", {}).items()})
-    optimizer = None
-    if "optimizer" in manifest:
-        opt_info = manifest["optimizer"]
-        optimizer = optimizer_from_config(opt_info["config"])
-        optimizer.t = opt_info["step"]
-        for pname, slots in opt_info["state"].items():
-            optimizer.state[pname] = {
-                slot: _read_array(path / fname) for slot, fname in slots.items()
-            }
-    return model, optimizer, manifest
+    spec = manifest["model"]
+    kind = spec.get("model_kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _MODEL_BUILDERS:
+        raise CheckpointError(f"{manifest_path}: no builder registered for model kind {kind!r}")
+    try:
+        model = _MODEL_BUILDERS[kind](spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{manifest_path}: cannot build a {kind} from it: {exc!r}") from exc
+    _copy_exact("parameter", model.params(), _arrays(path, manifest, "params"))
+    _copy_exact("buffer", model.buffers(), _arrays(path, manifest, "buffers"))
+    return model, manifest
+
+
+def _arrays(path: Path, manifest: dict, key: str) -> dict[str, np.ndarray]:
+    """The arrays that the manifest's ``key`` block maps to plain ``.npy``
+    file names inside the checkpoint directory, in their stored dtypes."""
+    files = manifest.get(key, {})
+    if not isinstance(files, dict) or not all(
+        isinstance(f, str) and re.fullmatch(r"[\w.-]+\.npy", f) for f in files.values()
+    ):
+        raise CheckpointError(f"{path}: {key} must map names to .npy file names in the checkpoint")
+    return {name: _read_npy((path / f).read_bytes())[1] for name, f in files.items()}

@@ -20,9 +20,8 @@ class Optimizer:
 
     Updates run in place through two scratch arrays shared by all
     parameters. They hold no state between parameters, so they are not in
-    ``state`` and never reach a checkpoint."""
-
-    kind: OptimizerKind
+    ``state``. Neither is saved: the state lives for one training run, and
+    a checkpoint holds the model alone."""
 
     def __init__(self, learning_rate: float):
         _check_rate("learning rate", learning_rate)
@@ -55,13 +54,8 @@ class Optimizer:
     def _update(self, name: str, p: np.ndarray, g: np.ndarray) -> None:
         raise NotImplementedError
 
-    def config(self) -> dict:
-        raise NotImplementedError
-
 
 class Adam(Optimizer):
-    kind = OptimizerKind.ADAM
-
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         super().__init__(learning_rate)
@@ -90,19 +84,8 @@ class Adam(Optimizer):
         a /= b
         p -= a
 
-    def config(self):
-        return {
-            "kind": self.kind.value,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-        }
-
 
 class RMSProp(Optimizer):
-    kind = OptimizerKind.RMSPROP
-
     def __init__(self, learning_rate: float, alpha: float = 0.99, eps: float = 1e-8):
         super().__init__(learning_rate)
         self.alpha, self.eps = alpha, eps
@@ -121,22 +104,8 @@ class RMSProp(Optimizer):
         a /= b
         p -= a
 
-    def config(self):
-        return {
-            "kind": self.kind.value,
-            "learning_rate": self.learning_rate,
-            "alpha": self.alpha,
-            "eps": self.eps,
-        }
 
-
-def make_optimizer(kind: OptimizerKind | str, learning_rate: float, **kwargs) -> Optimizer:
-    kind = OptimizerKind(kind)
-    if kind is OptimizerKind.ADAM:
-        return Adam(learning_rate, **kwargs)
-    return RMSProp(learning_rate, **kwargs)
-
-
-def optimizer_from_config(config: dict) -> Optimizer:
-    cfg = dict(config)
-    return make_optimizer(cfg.pop("kind"), cfg.pop("learning_rate"), **cfg)
+def make_optimizer(kind: OptimizerKind | str, learning_rate: float) -> Optimizer:
+    if OptimizerKind(kind) is OptimizerKind.ADAM:
+        return Adam(learning_rate)
+    return RMSProp(learning_rate)

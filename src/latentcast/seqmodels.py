@@ -75,29 +75,25 @@ class SeqModelConfig:
 def make_windows(seq: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Sliding stride-1 windows over a (T, ...) sequence: inputs t..t+k-1
     predict target t+k, giving exactly T-k samples."""
-    t = seq.shape[0]
-    if t <= window:
-        raise WindowError(f"sequence length {t} yields no windows of size {window}")
-    inputs = np.stack([seq[i : i + window] for i in range(t - window)])
-    targets = np.ascontiguousarray(seq[window:])
-    return inputs, targets
+    return window_dataset(seq[None], window)[:2]
 
 
 def window_dataset(
     latents: np.ndarray, window: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Windows for every sequence of a (N, T, ...) stack, plus the sequence
-    index each sample came from (for sequence-level fold assignment)."""
-    all_inputs, all_targets, owners = [], [], []
-    for i in range(latents.shape[0]):
-        inp, tgt = make_windows(latents[i], window)
-        all_inputs.append(inp)
-        all_targets.append(tgt)
-        owners.append(np.full(len(inp), i, dtype=np.int64))
+    """``make_windows`` for every sequence of a (N, T, ...) stack, in one
+    gather, plus the sequence index each sample came from (for
+    sequence-level fold assignment)."""
+    n, t = latents.shape[:2]
+    if t <= window:
+        raise WindowError(f"sequence length {t} yields no windows of size {window}")
+    # both index arrays lead, so each gather is allocated in its final layout
+    seqs, starts = np.arange(n)[:, None], np.arange(t - window)
+    inputs = latents[seqs[..., None], starts[:, None] + np.arange(window)]
     return (
-        np.concatenate(all_inputs),
-        np.concatenate(all_targets),
-        np.concatenate(owners),
+        inputs.reshape(n * (t - window), window, *latents.shape[2:]),
+        latents[seqs, starts + window].reshape(n * (t - window), *latents.shape[2:]),
+        np.repeat(np.arange(n, dtype=np.int64), t - window),
     )
 
 

@@ -152,7 +152,7 @@ class TestCheckpoint:
             model, sprite_frames, schedule=TrainSchedule(batch_size=16, max_epochs=2, patience=5)
         )
         save_checkpoint(tmp_path / "ae", model)
-        loaded, _, _ = load_checkpoint(tmp_path / "ae")
+        loaded, _ = load_checkpoint(tmp_path / "ae")
         x = sprite_frames[:4]
         np.testing.assert_array_equal(encode(model, x), encode(loaded, x))
         np.testing.assert_array_equal(

@@ -211,6 +211,37 @@ class TestTrainFlow:
             results.append((out_dir / "results.json").read_text())
         assert results[0] == results[1]
 
+    def test_jobs_must_be_positive_and_bound_the_pool(self, tmp_path, monkeypatch, capsys):
+        sizes = []
+
+        class FakePool:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+        assert experiment._map(abs, [-1, -2, -3], 100_000) == [1, 2, 3]
+        assert experiment._map(abs, [-1] * 9, 100_000) == [1] * 9
+        assert experiment._map(abs, [-1] * 9, 2) == [1] * 9
+        assert experiment._map(abs, [-1], 100_000) == [1]
+        assert sizes == [3, 4, 2]
+        lat, grid = tmp_path / "lat.npy", tmp_path / "grid.json"
+        write_array_file(lat, np.zeros((4, 6, 2, 2, 2), dtype=np.float32))
+        grid.write_text(json.dumps({"hidden_size": [4], "window": [3]}))
+        assert main(["gridsearch", "--stage", "seq", "--kind", "cnn3d", "--kfold", "2",
+                     "--grid", str(grid), "--dataset", str(lat), "--jobs", "0",
+                     "--out", str(tmp_path / "gs")]) == 2
+        assert "jobs must be an integer >= 1" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("kind, layers", [("convlstm", "1"), ("rnn", "1"), ("cnn3d", None)])
     def test_cli_chain_matches_pipeline(self, tmp_path, dataset_file, kind, layers):
@@ -382,15 +413,28 @@ class TestBadInputs:
         n, t = VideoDataset.load(dataset_file).data.shape[:2]
         assert json.loads((tmp_path / "p" / "predict.json").read_text())["n_predictions"] == n * (t - 3)
 
-    def test_bench_refuses_checkpoint_missing_a_parameter(self, tmp_path, latents_file):
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m["params"].pop("blk1_conv.b"),
+        lambda m: m.update(model=[1]),
+        lambda m: m["model"].pop("config"),
+        lambda m: m["model"]["config"].update(bogus=1),
+        lambda m: m.update(params=["x"]),
+    ], ids=["missing-param", "model-list", "no-config", "unknown-config-key", "params-list"])
+    def test_bench_and_extract_refuse_a_malformed_checkpoint(self, tmp_path, latents_file, capsys,
+                                                             corrupt):
         ckpt = tmp_path / "seq"
         assert main(["train-seq", "--latents", str(latents_file), "--kind", "cnn3d",
                      "--hidden", "4", "--window", "3", "--epochs", "1", "--out", str(ckpt)]) == 0
         manifest = json.loads((ckpt / "manifest.json").read_text())
-        del manifest["params"]["blk1_conv.b"]
+        corrupt(manifest)
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
         assert main(["bench", "--ckpt", str(ckpt), "--latents", str(latents_file),
-                     "--iters", "2", "--warmup", "1"]) == 2
+                     "--iters", "30", "--warmup", "1"]) == 2
+        assert main(["extract", "--ckpt", str(ckpt), "--dataset", str(latents_file),
+                     "--out", str(tmp_path / "lat.npy")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 2 and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

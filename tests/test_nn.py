@@ -1,4 +1,7 @@
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentcast.autoencoder import AutoencoderConfig, build_autoencoder
+from latentcast.dataio import write_array_file
 from latentcast.errors import (
     CheckpointError,
     ConfigError,
@@ -371,9 +375,8 @@ class TestDeterminismAndCheckpoints:
         from latentcast.nn.network import register_model_kind
 
         register_model_kind("__tiny__", lambda spec: tiny_ae_like(seed=2))
-        opt = Adam(1e-3)
-        save_checkpoint(tmp_path / "ckpt", model, optimizer=opt)
-        loaded, opt2, manifest = load_checkpoint(tmp_path / "ckpt")
+        save_checkpoint(tmp_path / "ckpt", model)
+        loaded, _ = load_checkpoint(tmp_path / "ckpt")
         for k, v in model.params().items():
             np.testing.assert_array_equal(loaded.params()[k], v)
         y1 = model.forward(x, train=False)
@@ -404,11 +407,11 @@ class TestDeterminismAndCheckpoints:
             save_checkpoint(tmp_path / "ckpt", model)
         monkeypatch.undo()
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
-        loaded, _, _ = load_checkpoint(tmp_path / "ckpt")
+        loaded, _ = load_checkpoint(tmp_path / "ckpt")
         for k, v in before.items():
             np.testing.assert_array_equal(loaded.params()[k], v)
         save_checkpoint(tmp_path / "ckpt", model)
-        loaded, _, _ = load_checkpoint(tmp_path / "ckpt")
+        loaded, _ = load_checkpoint(tmp_path / "ckpt")
         for k, v in model.params().items():
             np.testing.assert_array_equal(loaded.params()[k], v)
 
@@ -422,13 +425,18 @@ class TestDeterminismAndCheckpoints:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda m: m["params"].pop("e0.b"), "missing"),
-            (lambda m: m["buffers"].pop("e0n.running_var"), "missing"),
-            (lambda m: m["params"].update({"ghost.w": m["params"]["e0.w"]}), "unknown"),
-            (lambda m: m["params"].update({"e0.w": m["params"]["e0.b"]}), "shape"),
-            (lambda m: m["buffers"].update({"e0n.running_var": m["params"]["e0.w"]}), "shape"),
+            (lambda m, d: m["params"].pop("e0.b"), "missing"),
+            (lambda m, d: m["buffers"].pop("e0n.running_var"), "missing"),
+            (lambda m, d: m["params"].update({"ghost.w": m["params"]["e0.w"]}), "unknown"),
+            (lambda m, d: m["params"].update({"e0.w": m["params"]["e0.b"]}), "shape"),
+            (lambda m, d: m["buffers"].update({"e0n.running_var": m["params"]["e0.w"]}), "shape"),
+            (lambda m, d: _retype(d / m["params"]["e0.w"], np.float64), "float64"),
+            (lambda m, d: _retype(d / m["buffers"]["e0n.running_var"], np.uint8), "uint8"),
+            (lambda m, d: m["params"].update(
+                {"e0.w": "../" + Path(shutil.copy(d / m["params"]["e0.w"], d.parent)).name}), "file names"),
         ],
-        ids=["missing-param", "missing-buffer", "unknown-param", "param-shape", "buffer-shape"],
+        ids=["missing-param", "missing-buffer", "unknown-param", "param-shape", "buffer-shape",
+             "float64-file", "uint8-file", "outside-path"],
     )
     def test_load_refuses_manifest_that_differs_from_model(self, tmp_path, corrupt, message):
         from latentcast.nn.network import register_model_kind
@@ -439,39 +447,95 @@ class TestDeterminismAndCheckpoints:
         save_checkpoint(tmp_path / "ckpt", model)
         path = tmp_path / "ckpt" / "manifest.json"
         manifest = json.loads(path.read_text())
-        corrupt(manifest)
+        corrupt(manifest, tmp_path / "ckpt")
         path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(tmp_path / "ckpt")
 
-    def test_resume_training_bitwise(self, tmp_path):
-        from latentcast.nn.network import register_model_kind
 
-        register_model_kind("__tiny2__", lambda spec: tiny_ae_like(seed=4))
-        x = np.random.default_rng(5).random((12, 8, 8, 1)).astype(np.float32)
+def _retype(path, dtype):
+    """Rewrite an array file with the same values in another dtype."""
+    write_array_file(path, np.load(path).astype(dtype))
 
-        # uninterrupted: 10 steps with one RNG
-        model_a = tiny_ae_like(seed=4)
-        opt_a = Adam(1e-3)
-        rng_a = np.random.default_rng(7)
-        short_training(model_a, opt_a, x, steps=10, rng=rng_a)
 
-        # interrupted: 5 steps, checkpoint (params + optimizer + rng), reload, 5 more
-        model_b = tiny_ae_like(seed=4)
-        opt_b = Adam(1e-3)
-        rng_b = np.random.default_rng(7)
-        short_training(model_b, opt_b, x, steps=5, rng=rng_b)
-        model_b.spec = lambda: {"model_kind": "__tiny2__"}
-        save_checkpoint(
-            tmp_path / "mid", model_b, optimizer=opt_b, rng_state=rng_b.bit_generator.state
-        )
-        model_c, opt_c, manifest = load_checkpoint(tmp_path / "mid")
-        rng_c = np.random.default_rng()
-        rng_c.bit_generator.state = manifest["rng_state"]
-        short_training(model_c, opt_c, x, steps=5, rng=rng_c)
+def _json_paths(node, path=()):
+    """The key path of every value in a JSON document, the root first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _json_paths(value, (*path, key))
 
-        for k, v in model_a.params().items():
-            np.testing.assert_array_equal(model_c.params()[k], v)
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+# small integers, so a mutated size cannot allocate a large model
+_JSON_VALUES = (st.integers(-3, 12) | st.floats(allow_nan=False, allow_infinity=False)
+                | st.text(max_size=6) | st.booleans() | st.none()
+                | st.lists(st.integers(-3, 12), max_size=3)
+                | st.dictionaries(st.text(max_size=4), st.integers(-3, 12), max_size=2))
+
+
+class TestCheckpointFuzz:
+    """A mutated checkpoint directory loads exactly the saved arrays or
+    raises one of the package's typed errors."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        config = SeqModelConfig(kind="rnn", hidden_size=3, hidden_layers=1, window=2)
+        model = build_seq_model(config, (2, 2, 2), seed=0)
+        return save_checkpoint(tmp_path_factory.mktemp("fuzz") / "ckpt", model), model.snapshot()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutations(self, saved, data):
+        source, arrays = saved
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(shutil.copytree(source, Path(tmp) / "ckpt"))
+            doc = {"manifest": json.loads((path / "manifest.json").read_text())}
+            for _ in range(data.draw(st.integers(1, 3))):
+                op = data.draw(st.sampled_from(["replace", "drop", "add-key", "array"]))
+                paths = list(_json_paths(doc["manifest"], ("manifest",)))
+                keys = [p for p in paths[1:] if isinstance(_at(doc, p[:-1]), dict)]
+                dicts = [_at(doc, p) for p in paths if isinstance(_at(doc, p), dict)]
+                if op == "replace":
+                    where = data.draw(st.sampled_from(paths))
+                    _at(doc, where[:-1])[where[-1]] = data.draw(_JSON_VALUES)
+                elif op == "drop" and keys:
+                    where = data.draw(st.sampled_from(keys))
+                    del _at(doc, where[:-1])[where[-1]]
+                elif op == "add-key" and dicts:
+                    node = data.draw(st.sampled_from(dicts))
+                    node[data.draw(st.text(min_size=1, max_size=6))] = data.draw(_JSON_VALUES)
+                elif op == "array":
+                    name = data.draw(st.sampled_from(sorted(f.name for f in source.glob("*.npy"))))
+                    values = np.load(source / name)
+                    how = data.draw(st.sampled_from(["float64", "uint8", "shape", "truncate"]))
+                    if how == "truncate":
+                        blob = (source / name).read_bytes()
+                        (path / name).write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+                    else:
+                        write_array_file(path / name, {
+                            "float64": values.astype(np.float64),
+                            "uint8": np.full(values.shape, 7, dtype=np.uint8),
+                            "shape": values.reshape(-1, 1),
+                        }[how])
+            (path / "manifest.json").write_text(json.dumps(doc["manifest"]))
+            try:
+                model, _ = load_checkpoint(path)
+            except LatentcastError:
+                return
+            except FileNotFoundError as exc:  # a drawn file name; main exits 2 on it
+                assert not Path(exc.filename).exists()
+                return
+            loaded = model.snapshot()
+            assert loaded.keys() == arrays.keys()
+            for name, value in arrays.items():
+                assert loaded[name].dtype == value.dtype
+                assert loaded[name].tobytes() == value.tobytes()
 
 
 class TestGradcheckSpot:

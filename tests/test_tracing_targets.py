@@ -28,6 +28,19 @@ def test_every_target_resolves(tracing):
         assert callable(getattr(owner, attr)), path
 
 
+def test_benchmark_call_contract(tmp_path):
+    """perfbench calls ``load_checkpoint(path)[0]`` for the model and unpacks
+    three arrays from ``window_dataset``."""
+    from latentcast.nn.network import Model, load_checkpoint, save_checkpoint
+    from latentcast.seqmodels import SeqModelConfig, build_seq_model, window_dataset
+
+    config = SeqModelConfig(kind="rnn", hidden_size=4, hidden_layers=1, window=3)
+    save_checkpoint(tmp_path / "ckpt", build_seq_model(config, (2, 2, 1), seed=0))
+    assert isinstance(load_checkpoint(tmp_path / "ckpt")[0], Model)
+    out = window_dataset(np.zeros((1, 6, 2, 2, 1), dtype=np.float32), 3)
+    assert len(out) == 3 and all(isinstance(a, np.ndarray) for a in out)
+
+
 def wrapped_names():
     """Every function of a package module or class that wraps another."""
     found = []
