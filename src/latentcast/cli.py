@@ -25,7 +25,7 @@ from .dataio import (
     split_sequences,
     write_array_file,
 )
-from .errors import DataError, FormatError, LatentcastError, TrainingAbortError
+from .errors import DataError, FormatError, LatentcastError, TrainingAbortError, _check_int
 from .experiment import (
     PipelineTiming,
     _test_stage,
@@ -420,6 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        _check_int("--seed", getattr(args, "seed", 0), 0)
         return _COMMANDS[args.command](args)
     except TrainingAbortError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)

@@ -144,20 +144,27 @@ def kfold_validate(
     schedule: TrainSchedule | None = None,
 ) -> FoldStats:
     """K train/validation rotations split by sequence, never by frame; each
-    sequence validates exactly once. Reports mean +/- sample std."""
+    sequence validates exactly once. Reports mean +/- sample std.
+
+    Each fold is windowed once, and every rotation trains the one seeded
+    build, restored to its initial state, on the other folds' windows in
+    fold order: the same losses as a fresh ``fit_predictor`` per rotation."""
     n = latents.shape[0]
     if k_folds < 2:
         raise FoldError(f"need at least 2 folds, got {k_folds}")
     if k_folds > n:
         raise FoldError(f"{k_folds} folds over {n} sequences")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    folds = np.array_split(order, k_folds)
+    folds = [window_dataset(latents[f], config.window)[:2]
+             for f in np.array_split(rng.permutation(n), k_folds)]
+    model = build_seq_model(config, latents.shape[2:], seed)
+    initial = model.snapshot()
     losses = []
-    for i, val_idx in enumerate(folds):
-        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        run = fit_predictor(config, seed, latents[train_idx], latents[val_idx], schedule)[1]
-        losses.append(run.final_val_loss)
+    for i, (va_in, va_tg) in enumerate(folds):
+        rest = folds[:i] + folds[i + 1 :]
+        tr_in, tr_tg = rest[0] if len(rest) == 1 else map(np.concatenate, zip(*rest))
+        model.restore(initial)
+        losses.append(train_seq_model(model, tr_in, tr_tg, va_in, va_tg, schedule).final_val_loss)
     return fold_stats(losses)
 
 

@@ -7,6 +7,7 @@ diagnostic.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -64,13 +65,15 @@ def _lanczos_kernel(x: np.ndarray, a: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def lanczos_weight_matrix(in_size: int, out_size: int, a: int = 3) -> np.ndarray:
     """Row-normalized (out_size, in_size) resampling matrix for one axis.
 
     Output pixel i samples input coordinate (i + 0.5) * scale - 0.5; on
     downscale the kernel is stretched by the scale factor. Taps falling
     outside the image are dropped and the rest renormalized, so each row
-    sums to exactly 1.
+    sums to exactly 1. The matrix is cached per (in_size, out_size, a) and
+    shared by every caller, so it is read-only.
     """
     scale = in_size / out_size
     filter_scale = max(scale, 1.0)
@@ -83,6 +86,7 @@ def lanczos_weight_matrix(in_size: int, out_size: int, a: int = 3) -> np.ndarray
         taps = np.arange(lo, hi + 1)
         w = _lanczos_kernel((taps - center) / filter_scale, a)
         weights[i, lo : hi + 1] = w / w.sum()
+    weights.flags.writeable = False
     return weights
 
 

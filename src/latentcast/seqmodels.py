@@ -212,6 +212,8 @@ def build_seq_model(
 ) -> SeqPredictor:
     if len(latent_shape) != 3:
         raise ConfigError(f"latent shape must be (h, w, c), got {latent_shape}")
+    for name, extent in zip("hwc", latent_shape):
+        _check_int(f"latent {name}", extent)
     return _PREDICTORS[config.kind](config, latent_shape, seed)
 
 

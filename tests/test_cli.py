@@ -1,9 +1,15 @@
 import argparse
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from latentcast import experiment
 from latentcast.autoencoder import AutoencoderConfig
@@ -549,6 +555,9 @@ _REFUSED_VALUES = {
                           "--patience", "-1"],
     "preprocess-stratify": ["preprocess", "--in", "DATA", "--len", "6", "--size", "16",
                             "--stratify", "0"],
+    "split-seed": ["split", "--dataset", "DATA", "--seed", "-1"],
+    "train-seq-seed": ["train-seq", "--latents", "DATA", "--kind", "rnn", "--layers", "1",
+                       "--epochs", "1", "--seed", "-1"],
 }
 
 
@@ -586,6 +595,71 @@ def test_bad_grid_exits_2_before_training(tmp_path, valid_inputs, dataset_file, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (out_dir / "results.json").exists()
+
+
+# Floats stay within +-2 (or nan, inf): a larger learning rate can make
+# training diverge, which exits 3 by design.
+_FLOAT = (st.floats(-2, 2) | st.sampled_from([math.nan, math.inf, -math.inf])).map(str)
+_INT, _FLAG = st.integers(-3, 12).map(str), st.none()
+_LIST = st.lists(st.integers(-3, 12), max_size=3).map(lambda v: ",".join(map(str, v)))
+# a value of the wrong kind for most options: a float, a string, a comma
+# list of integers (the empty list too), or no value at all
+_WILD = _FLOAT | st.text(max_size=4) | _LIST | _FLAG
+_LOSS = st.sampled_from(["l1", "mse", "msle", "rmse"])
+_OPT = st.sampled_from(["adam", "rmsprop"])
+_KIND = st.sampled_from(["rnn", "lstm", "gru", "cnn3d", "convlstm", "crnn"])
+_SCHEDULE = {"--batch-size": _INT, "--patience": _INT}
+
+# Every command's non-path options with a value of their own kind, and the
+# inputs of the module fixtures: DATA is the 6-sequence file, other names
+# are ``valid_inputs`` entries.
+_FUZZED = {
+    "ingest": (["--input", "frames.npy"],
+               {"--format": st.sampled_from(["npy", "pnm-dir"]),
+                "--channels": st.sampled_from(["1", "3"]), "--time-axis": _INT, "--length": _INT}),
+    "split": (["--dataset", "DATA"], {"--test": _FLOAT, "--val": _FLOAT, "--seed": _INT}),
+    "preprocess": (["--in", "DATA"],
+                   {"--len": _INT, "--size": _INT, "--border-threshold": _FLOAT,
+                    "--stratify": _INT, "--seed": _INT, "--binarize": _FLAG,
+                    "--no-binarize": _FLAG, "--crop-borders": _FLAG}),
+    "train-ae": (["--dataset", "DATA", "--epochs", "1"],
+                 {"--dims": _LIST, "--loss": _LOSS, "--opt": _OPT, "--lr": _FLOAT,
+                  "--seed": _INT, **_SCHEDULE}),
+    "train-seq": (["--latents", "DATA", "--epochs", "1"],
+                  {"--kind": _KIND, "--layers": _INT, "--hidden": _INT, "--window": _INT,
+                   "--loss": _LOSS, "--opt": _OPT, "--lr": _FLOAT, "--seed": _INT,
+                   **_SCHEDULE}),
+    # --jobs stays at most 2, so that no draw starts a large process pool
+    "gridsearch": (["--grid", "grid.json", "--dataset", "DATA", "--epochs", "1"],
+                   {"--stage": st.sampled_from(["seq", "ae"]), "--kind": _KIND, "--kfold": _INT,
+                    "--jobs": st.integers(-3, 2).map(str), "--seed": _INT, **_SCHEDULE}),
+    "bench": (["--ckpt", "seq-ckpt", "--latents", "lat.npy"],
+              {"--iters": st.integers(-3, 40).map(str), "--warmup": _INT}),
+    "evaluate": (["--pred", "frames.npy", "--truth", "frames.npy"], {"--intervals": _FLAG}),
+}
+_REQUIRED = {"--format", "--kind", "--stage"}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_drawn_option_values_exit_0_1_or_2_without_traceback(six_sequences, valid_inputs, data):
+    command = data.draw(st.sampled_from(sorted(_FUZZED)))
+    fixed, options = _FUZZED[command]
+    argv = [command, *(six_sequences if a == "DATA" else valid_inputs.get(a, a) for a in fixed)]
+    names = [o for o in sorted(options)
+             if o in _REQUIRED or data.draw(st.booleans(), label=f"pass {o}")]
+    # at most one value of the wrong kind, so that most argvs parse
+    wild = data.draw(st.none() | st.sampled_from(names), label="wild") if names else None
+    for option in names:
+        value = data.draw(_WILD if option == wild else options[option], label=option)
+        argv.append(option if value is None else f"{option}={value}")  # "=" passes "-inf" too
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestEvaluateReport:

@@ -1,15 +1,18 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from latentcast import experiment
 from latentcast.autoencoder import AutoencoderConfig
-from latentcast.errors import FoldError, GridError, LeakageError
+from latentcast.errors import FoldError, GridError, LeakageError, WindowError
 from latentcast.experiment import (
     IdTracker,
     benchmark_inference,
     emit_report,
+    fit_predictor,
     fold_stats,
     forecast,
     grid_enumerate,
@@ -20,6 +23,7 @@ from latentcast.experiment import (
 from latentcast.metrics import bucketize_intervals
 from latentcast.nn.losses import loss
 from latentcast.seqmodels import (
+    LAYERED_KINDS,
     SeqModelConfig,
     SeqModelKind,
     build_seq_model,
@@ -103,6 +107,33 @@ class TestKFold:
         )
         assert len(fs.losses) == 5
         assert fs.std >= 0.0
+
+    @pytest.mark.parametrize("k_folds", [2, 3, 5])
+    @pytest.mark.parametrize("kind", list(SeqModelKind))
+    def test_same_losses_as_one_fit_per_fold(self, monkeypatch, kind, k_folds):
+        """Bitwise the definition: a fresh ``fit_predictor`` per rotation on
+        the sequences of the other folds, with one build per call."""
+        latents = np.random.default_rng(4).normal(size=(5, 6, 4, 4, 2)).astype(np.float32)
+        cfg = SeqModelConfig(kind=kind, hidden_size=4, window=3, learning_rate=0.2,
+                             hidden_layers=1 if kind in LAYERED_KINDS else None)
+        schedule = TrainSchedule(batch_size=4, max_epochs=4, patience=0)
+        folds = np.array_split(np.random.default_rng(7).permutation(5), k_folds)
+        runs = [
+            fit_predictor(cfg, 7, latents[np.concatenate(folds[:i] + folds[i + 1 :])],
+                          latents[val_idx], schedule)[1]
+            for i, val_idx in enumerate(folds)
+        ]
+        assert any(len(run.val_curve) < schedule.max_epochs for run in runs)
+        builds = []
+        build = experiment.build_seq_model
+        monkeypatch.setattr(experiment, "build_seq_model",
+                            lambda *args: builds.append(args) or build(*args))
+        fs = kfold_validate(cfg, latents, k_folds, seed=7, schedule=schedule)
+        assert [v.hex() for v in fs.losses] == [run.final_val_loss.hex() for run in runs]
+        assert len(builds) == 1
+        with pytest.raises(WindowError):  # every fold is windowed before the build
+            kfold_validate(replace(cfg, window=6), latents, k_folds)
+        assert len(builds) == 1
 
     def test_too_many_folds(self):
         latents = np.zeros((3, 5, 2, 2, 1), dtype=np.float32)

@@ -537,6 +537,15 @@ class TestCheckpointFuzz:
                 assert loaded[name].dtype == value.dtype
                 assert loaded[name].tobytes() == value.tobytes()
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_extent_latent_shape_refused(self, saved, tmp_path):
+        path = Path(shutil.copytree(saved[0], tmp_path / "ckpt"))
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["model"]["latent_shape"] = [0, 2, 2]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="latent h"):
+            load_checkpoint(path)
+
 
 class TestGradcheckSpot:
     """Representative finite-difference checks; the full layer x loss sweep

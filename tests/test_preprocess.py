@@ -80,6 +80,16 @@ class TestResizeLanczos:
         m = lanczos_weight_matrix(in_size, out_size)
         np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("in_size, out_size, a", [(96, 64, 3), (12, 25, 3), (40, 17, 2)])
+    def test_cached_matrix_is_shared_and_read_only(self, in_size, out_size, a):
+        m = lanczos_weight_matrix(in_size, out_size, a)
+        assert lanczos_weight_matrix(in_size, out_size, a) is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+        fresh = lanczos_weight_matrix.__wrapped__(in_size, out_size, a)
+        assert m.dtype == fresh.dtype and m.tobytes() == fresh.tobytes()
+
 
 class TestOtsu:
     def test_bimodal_split(self):

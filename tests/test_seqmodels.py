@@ -86,6 +86,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             SeqModelConfig(kind="rnn", **{"hidden_layers": 1, field: value})
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 2, 0), (2, -1, 2), (2, 2)])
+    @pytest.mark.parametrize("kind", list(SeqModelKind))
+    def test_latent_shape_checked(self, kind, shape):
+        with pytest.raises(ConfigError, match="latent"):
+            build_seq_model(config_for(kind), shape, seed=0)
+
     def test_all_paper_kinds_enumerated(self):
         assert {k.value for k in SeqModelKind} == {
             "rnn", "lstm", "gru", "cnn3d", "convlstm", "crnn",
