@@ -13,12 +13,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, _check_int, _check_rate
+from .errors import ConfigError, ShapeError, _check_int, _check_rate, _seeded_rng
 from .nn.layers import BatchNorm, Conv2D, ConvTranspose2D, LeakyReLU, Sigmoid
 from .nn.losses import LossKind
 from .nn.network import Sequential, register_model_kind
 from .nn.optim import Optimizer, OptimizerKind
-from .training import TrainRun, TrainSchedule, _predict_items, fit, predict_batched
+from .training import TrainRun, TrainSchedule, _fit_scored, _predict_items, predict_batched
 
 DEFAULT_LEAKY_SLOPE = 0.01
 
@@ -94,7 +94,7 @@ class Autoencoder(Sequential):
         self.encoder = Sequential(enc_layers)
         self.decoder = Sequential(dec_layers)
         super().__init__(enc_layers + dec_layers)
-        rng = np.random.default_rng(seed)
+        rng = _seeded_rng(seed)
         for module in self.modules():
             module.init_params(rng, slope)
 
@@ -128,7 +128,7 @@ def train_autoencoder(
 ) -> TrainRun:
     """Train on (frame, same frame) pairs; returns the run with the
     best-validation parameters restored into the model."""
-    return fit(model, train_frames, train_frames, val_frames, val_frames, schedule, optimizer)
+    return _fit_scored(model, train_frames, train_frames, val_frames, val_frames, schedule, optimizer)
 
 
 def encode_dataset(model: Autoencoder, sequences: np.ndarray) -> np.ndarray:

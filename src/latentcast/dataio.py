@@ -28,6 +28,7 @@ from .errors import (
     InsufficientDataError,
     TruncationError,
     UnsupportedDtypeError,
+    _seeded_rng,
 )
 
 NPY_MAGIC = b"\x93NUMPY"
@@ -428,7 +429,7 @@ def split_sequences(
         raise InsufficientDataError(f"{n} sequences cannot fill three partitions")
     n_test = int(np.floor(n * test_fraction))
     n_val = int(np.floor((n - n_test) * val_fraction))
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     order = rng.permutation(n)
     shuffled = [ids[i] for i in order]
     test_ids = shuffled[:n_test]

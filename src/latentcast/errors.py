@@ -1,8 +1,12 @@
 """Exception taxonomy shared by all latentcast modules, and the numeric field
 checks that raise ``ConfigError``."""
 
+from __future__ import annotations
+
 import math
 import numbers
+
+import numpy as np
 
 
 class LatentcastError(Exception):
@@ -34,7 +38,7 @@ class GapError(DataError):
 
 
 class InsufficientDataError(DataError):
-    """Too few sequences for the requested split."""
+    """Too few sequences or samples for the requested split or stage."""
 
 
 class TooShortError(DataError):
@@ -103,3 +107,9 @@ def _check_rate(name: str, value) -> None:
     """``ConfigError`` unless ``value`` is a finite real number > 0."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
         raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def _seeded_rng(seed) -> np.random.Generator:
+    """numpy's generator for ``seed``; ``ConfigError`` unless it is an integer >= 0."""
+    _check_int("seed", seed, 0)
+    return np.random.default_rng(seed)

@@ -25,7 +25,8 @@ from .autoencoder import (
     train_autoencoder,
 )
 from .dataio import DatasetSplit, VideoDataset, split_sequences
-from .errors import ConfigError, FoldError, GridError, LeakageError, _check_int
+from .errors import (ConfigError, FoldError, GridError, InsufficientDataError, LeakageError,
+                     _check_int, _seeded_rng)
 from .metrics import LatentStats, MetricReport, kl_gauss, latent_stats, score_frames
 from .nn.losses import loss
 from .nn.network import Model
@@ -39,7 +40,7 @@ from .seqmodels import (
     train_seq_model,
     window_dataset,
 )
-from .training import TrainRun, TrainSchedule, evaluate_loss
+from .training import TrainRun, TrainSchedule, evaluate_loss, fit
 
 class IdTracker:
     """Guards test-set hygiene: any test id registered for a training or
@@ -146,15 +147,16 @@ def kfold_validate(
     """K train/validation rotations split by sequence, never by frame; each
     sequence validates exactly once. Reports mean +/- sample std.
 
-    Each fold is windowed once, and every rotation trains the one seeded
+    Each fold is windowed once, and every rotation ``fit``s the one seeded
     build, restored to its initial state, on the other folds' windows in
-    fold order: the same losses as a fresh ``fit_predictor`` per rotation."""
+    fold order: the same losses as a fresh ``fit_predictor`` per rotation,
+    without scoring the training windows, which selection never reads."""
     n = latents.shape[0]
     if k_folds < 2:
         raise FoldError(f"need at least 2 folds, got {k_folds}")
     if k_folds > n:
         raise FoldError(f"{k_folds} folds over {n} sequences")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     folds = [window_dataset(latents[f], config.window)[:2]
              for f in np.array_split(rng.permutation(n), k_folds)]
     model = build_seq_model(config, latents.shape[2:], seed)
@@ -164,7 +166,7 @@ def kfold_validate(
         rest = folds[:i] + folds[i + 1 :]
         tr_in, tr_tg = rest[0] if len(rest) == 1 else map(np.concatenate, zip(*rest))
         model.restore(initial)
-        losses.append(train_seq_model(model, tr_in, tr_tg, va_in, va_tg, schedule).final_val_loss)
+        losses.append(fit(model, tr_in, tr_tg, va_in, va_tg, schedule).final_val_loss)
     return fold_stats(losses)
 
 
@@ -202,10 +204,9 @@ def grid_search_seq(
 
 def _eval_ae_config(args) -> tuple[dict, float]:
     values, config, train, val, seed, schedule = args
-    model, _ = fit_autoencoder(config, seed, train, val, schedule)
-    # selection uses validation MSE regardless of the training loss
-    val_frames = _flat_frames(val)
-    return values, evaluate_loss(model, val_frames, val_frames, "mse")
+    model, tr, va = build_autoencoder(config, seed), _flat_frames(train), _flat_frames(val)
+    fit(model, tr, tr, va, va, schedule)
+    return values, evaluate_loss(model, va, va, "mse")  # validation MSE, whatever the loss
 
 
 def grid_search_ae(
@@ -218,7 +219,11 @@ def grid_search_ae(
 ) -> list[tuple[dict, float]]:
     """Autoencoder grid search over (N, T, H, W, C) train and validation
     sequences, ranked by validation MSE; frame geometry comes from the
-    data, the grid carries only the searched axes."""
+    data, the grid carries only the searched axes. Each point is ``fit``
+    without scoring its training frames: the same MSE as ``fit_autoencoder``
+    followed by ``evaluate_loss`` on the validation frames."""
+    if len(val) == 0:
+        raise InsufficientDataError("autoencoder grid search needs validation sequences")
     combos = grid_enumerate(grid)
     configs = _grid_configs(AutoencoderConfig, combos, input_size=train.shape[2],
                             input_channels=train.shape[4])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import FrameSequence, VideoDataset
-from .errors import ChannelError, ConfigError, SubsetSizeError, TooShortError
+from .errors import ChannelError, ConfigError, SubsetSizeError, TooShortError, _seeded_rng
 
 DEFAULT_BORDER_THRESHOLD = 10 / 255
 
@@ -205,7 +205,7 @@ def stratified_subset(
     by_label: dict[str, list[str]] = {}
     for seq_id, label in ids_with_labels:
         by_label.setdefault(label, []).append(seq_id)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     labels = sorted(by_label)
     label_order = [labels[i] for i in rng.permutation(len(labels))]
     pools = {lab: [by_label[lab][i] for i in rng.permutation(len(by_label[lab]))] for lab in labels}

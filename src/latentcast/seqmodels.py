@@ -16,13 +16,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, WindowError, _check_int, _check_rate
+from .errors import ConfigError, ShapeError, WindowError, _check_int, _check_rate, _seeded_rng
 from .nn.cells import ConvElmanCell, ConvLSTMCell, ElmanCell, GRUCell, LSTMCell, Recurrence
 from .nn.layers import Conv2D, Conv3D, Dense, Layer, LeakyReLU, Reshape, Sigmoid
 from .nn.losses import LossKind
 from .nn.network import Sequential, register_model_kind
 from .nn.optim import Optimizer, OptimizerKind
-from .training import TrainRun, TrainSchedule, _predict_items, fit
+from .training import TrainRun, TrainSchedule, _fit_scored, _predict_items
 
 
 class SeqModelKind(str, Enum):
@@ -110,7 +110,7 @@ class SeqPredictor(Sequential):
         if config.output_activation == "sigmoid":
             layers.append(Sigmoid("out_act"))
         super().__init__(layers)
-        rng = np.random.default_rng(seed)
+        rng = _seeded_rng(seed)
         for module in self.modules():
             module.init_params(rng, config.leaky_slope)
 
@@ -233,7 +233,7 @@ def train_seq_model(
 ) -> TrainRun:
     if len(inputs) == 0:
         raise WindowError("no training samples")
-    return fit(model, inputs, targets, val_inputs, val_targets, schedule, optimizer)
+    return _fit_scored(model, inputs, targets, val_inputs, val_targets, schedule, optimizer)
 
 
 def _build_from_spec(spec: dict) -> SeqPredictor:

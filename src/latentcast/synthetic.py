@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataio import VideoDataset
-from .errors import ConfigError
+from .errors import ConfigError, _seeded_rng
 
 _GLYPHS = [
     np.array(
@@ -65,7 +65,7 @@ def moving_sprites(
     [0, 1], deterministic in the seed. A ``ConfigError`` names a
     ``sprite_size`` too large for ``size``, where a bounce would carry a
     sprite out of the frame."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     glyphs = [_scale_glyph(g, sprite_size) for g in _GLYPHS]
     limit = size - glyphs[0].shape[0]  # last in-frame corner row/column; glyphs are square
     too_big = ConfigError(

@@ -8,7 +8,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, TrainingAbortError, _check_int
+from .errors import (InsufficientDataError, ShapeError, TrainingAbortError, _check_int,
+                     _seeded_rng)
 from .nn.losses import LossKind, loss, loss_with_grad
 from .nn.network import Model
 from .nn.optim import Optimizer, make_optimizer
@@ -33,7 +34,10 @@ class TrainSchedule:
 
 @dataclass
 class TrainRun:
-    """Outcome of one training: loss curves, selected epoch, final metrics."""
+    """Outcome of one training: loss curves, selected epoch, final metrics.
+    ``fit`` fills ``final_val_loss``; the public entry points
+    ``train_autoencoder`` and ``train_seq_model`` (and the stage functions
+    and CLI commands built on them) also fill ``final_train_loss``."""
 
     config: dict
     seed: int
@@ -71,6 +75,8 @@ def evaluate_loss(
     """Mean per-element loss over a dataset in eval mode (batch-size
     independent): RMSE is the root of the dataset's mean squared error, not
     a mean of per-batch roots."""
+    if len(x) == 0:
+        raise InsufficientDataError("no samples to score")
     root = LossKind(loss_kind) is LossKind.RMSE
     total = 0.0
     for i in range(0, len(x), batch_size):
@@ -93,7 +99,9 @@ def fit(
     optimizer kind, learning rate) and ``seed``; keeps and restores the
     best-validation snapshot.
 
-    With no validation set, early stopping tracks the training loss instead.
+    With no validation set, early stopping tracks the training loss instead
+    and ``final_val_loss`` is the training set's eval-mode score; with one,
+    the training set is not scored. ``final_train_loss`` stays NaN.
     Fully deterministic in (seed, data order, schedule).
     """
     config = model.config
@@ -101,8 +109,10 @@ def fit(
     optimizer = optimizer or make_optimizer(config.optimizer, config.learning_rate)
     loss_kind = config.loss
     run = TrainRun(config=asdict(config), seed=model.seed)
-    rng = np.random.default_rng(model.seed)
+    rng = _seeded_rng(model.seed)
     n = len(train_x)
+    if n == 0:
+        raise InsufficientDataError("no training samples")
     have_val = val_x is not None and len(val_x) > 0
     best = math.inf
     best_snapshot = model.snapshot()
@@ -140,11 +150,17 @@ def fit(
             if stale > schedule.patience:
                 break
     model.restore(best_snapshot)
-    run.final_train_loss = evaluate_loss(model, train_x, train_y, loss_kind, schedule.batch_size)
-    if not have_val:
-        run.final_val_loss = run.final_train_loss
-    elif run.best_epoch >= 0:  # the restored snapshot is the one this score was taken on
+    if have_val and run.best_epoch >= 0:  # the restored snapshot is the one this score was taken on
         run.final_val_loss = run.val_curve[run.best_epoch]
     else:
-        run.final_val_loss = evaluate_loss(model, val_x, val_y, loss_kind, schedule.batch_size)
+        x, y = (val_x, val_y) if have_val else (train_x, train_y)
+        run.final_val_loss = evaluate_loss(model, x, y, loss_kind, schedule.batch_size)
+    return run
+
+
+def _fit_scored(model, train_x, train_y, val_x, val_y, schedule, optimizer) -> TrainRun:
+    """``fit``, then ``final_train_loss``: the training set scored with the restored parameters."""
+    run = fit(model, train_x, train_y, val_x, val_y, schedule, optimizer)
+    run.final_train_loss = run.final_val_loss if not run.val_curve else evaluate_loss(
+        model, train_x, train_y, model.config.loss, (schedule or TrainSchedule()).batch_size)
     return run

@@ -5,23 +5,34 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from latentcast import experiment
-from latentcast.autoencoder import AutoencoderConfig
-from latentcast.errors import FoldError, GridError, LeakageError, WindowError
+from latentcast import experiment, training
+from latentcast.autoencoder import AutoencoderConfig, build_autoencoder
+from latentcast.dataio import split_sequences
+from latentcast.errors import (
+    ConfigError,
+    FoldError,
+    GridError,
+    InsufficientDataError,
+    LeakageError,
+    WindowError,
+)
 from latentcast.experiment import (
     IdTracker,
     benchmark_inference,
     emit_report,
+    fit_autoencoder,
     fit_predictor,
     fold_stats,
     forecast,
     grid_enumerate,
+    grid_search_ae,
     kfold_validate,
     run_baseline,
     run_pipeline,
 )
 from latentcast.metrics import bucketize_intervals
 from latentcast.nn.losses import loss
+from latentcast.preprocess import stratified_subset
 from latentcast.seqmodels import (
     LAYERED_KINDS,
     SeqModelConfig,
@@ -31,7 +42,7 @@ from latentcast.seqmodels import (
     window_dataset,
 )
 from latentcast.synthetic import moving_sprites
-from latentcast.training import TrainSchedule
+from latentcast.training import TrainSchedule, evaluate_loss
 
 TABLE1_GRID = {
     "dims": [[32, 64, 128], [64, 128, 256]],
@@ -140,6 +151,113 @@ class TestKFold:
         cfg = SeqModelConfig(kind="rnn", hidden_size=4, hidden_layers=1, window=3)
         with pytest.raises(FoldError):
             kfold_validate(cfg, latents, k_folds=5)
+
+
+def _record_fits_and_scores(monkeypatch):
+    """Wrap ``experiment.fit`` and every ``evaluate_loss`` binding; each fit
+    call is logged as (train x, val x, run, arrays scored during it)."""
+    fits, scored = [], []
+    fit, evaluate = experiment.fit, training.evaluate_loss
+
+    def recording_fit(model, train_x, *args):
+        first = len(scored)
+        run = fit(model, train_x, *args)
+        fits.append((train_x, args[1], run, scored[first:]))
+        return run
+
+    def recording_evaluate(model, x, *args):
+        scored.append(x)
+        return evaluate(model, x, *args)
+
+    monkeypatch.setattr(experiment, "fit", recording_fit)
+    monkeypatch.setattr(training, "evaluate_loss", recording_evaluate)
+    monkeypatch.setattr(experiment, "evaluate_loss", recording_evaluate)
+    return fits, scored
+
+
+class TestSelectionScoresValidationOnly:
+    """K-fold and autoencoder grid search never score the training data they
+    discard: selection reads validation losses only."""
+
+    @pytest.mark.parametrize("k_folds", [2, 3])
+    @pytest.mark.parametrize("kind", list(SeqModelKind))
+    def test_kfold_scores_each_folds_validation_windows_once_per_epoch(
+        self, monkeypatch, kind, k_folds
+    ):
+        latents = np.random.default_rng(4).normal(size=(5, 6, 4, 4, 2)).astype(np.float32)
+        cfg = SeqModelConfig(kind=kind, hidden_size=4, window=3, learning_rate=0.2,
+                             hidden_layers=1 if kind in LAYERED_KINDS else None)
+        schedule = TrainSchedule(batch_size=4, max_epochs=4, patience=0)
+        fits, _ = _record_fits_and_scores(monkeypatch)
+        fs = kfold_validate(cfg, latents, k_folds, seed=7, schedule=schedule)
+        assert len(fits) == k_folds
+        assert any(len(run.val_curve) < schedule.max_epochs for _, _, run, _ in fits)
+        for train_x, val_x, run, scored in fits:
+            assert len(scored) == len(run.val_curve)
+            assert all(x is val_x for x in scored)
+            assert not any(np.shares_memory(x, train_x) for x in scored)
+        assert fs.losses == [run.final_val_loss for _, _, run, _ in fits]
+
+    def test_grid_search_ae_scores_validation_frames_only(self, monkeypatch, ae_sequences):
+        train, val = ae_sequences
+        schedule = TrainSchedule(batch_size=8, max_epochs=3, patience=0)
+        fits, scored = _record_fits_and_scores(monkeypatch)
+        grid_search_ae({"dims": [[4]]}, train, val, seed=0, schedule=schedule)
+        [(train_x, val_x, run, _)] = fits
+        val_frames = val.reshape(-1, *val.shape[2:])
+        assert len(scored) == len(run.val_curve) + 1  # every epoch, then the selection MSE
+        assert all(np.array_equal(x, val_frames) for x in scored)
+        assert not any(np.shares_memory(x, train_x) for x in scored)
+
+    def test_grid_search_ae_ranks_by_fit_autoencoder_validation_mse(self, ae_sequences):
+        train, val = ae_sequences
+        grid = {"dims": [[4, 8], [4]], "learning_rate": [0.01, 0.03]}
+        schedule = TrainSchedule(batch_size=8, max_epochs=3, patience=0)
+        val_frames = val.reshape(-1, *val.shape[2:])
+        expected = []
+        for values in grid_enumerate(grid):
+            cfg = AutoencoderConfig(**values, input_size=16)
+            model, _ = fit_autoencoder(cfg, 1, train, val, schedule)
+            expected.append((values, evaluate_loss(model, val_frames, val_frames, "mse")))
+        ranked = grid_search_ae(grid, train, val, seed=1, schedule=schedule)
+        assert [(v, mse.hex()) for v, mse in ranked] == [
+            (v, mse.hex()) for v, mse in sorted(expected, key=lambda vm: vm[1])
+        ]
+
+    def test_grid_search_ae_without_validation_sequences(self, ae_sequences):
+        train, val = ae_sequences
+        with pytest.raises(InsufficientDataError):
+            grid_search_ae({"dims": [[4]]}, train, val[:0])
+
+
+@pytest.fixture(scope="module")
+def ae_sequences():
+    frames = moving_sprites(6, length=4, size=16, sprite_size=5, seed=2).data
+    return frames[:4], frames[4:]
+
+
+_SEEDED = {
+    "split_sequences": lambda seed: split_sequences(list("abcde"), 0.2, 0.2, seed),
+    "stratified_subset": lambda seed: stratified_subset([("a", "x"), ("b", "y")], 1, seed),
+    "build_seq_model": lambda seed: build_seq_model(
+        SeqModelConfig(kind="rnn", hidden_size=2, hidden_layers=1, window=2), (2, 2, 1), seed),
+    "build_autoencoder": lambda seed: build_autoencoder(AutoencoderConfig(dims=[2], input_size=4),
+                                                        seed),
+    "moving_sprites": lambda seed: moving_sprites(1, length=2, size=8, sprite_size=3, seed=seed),
+    "kfold_validate": lambda seed: kfold_validate(
+        SeqModelConfig(kind="rnn", hidden_size=2, hidden_layers=1, window=2),
+        np.zeros((2, 3, 2, 2, 1), np.float32), 2, seed, TrainSchedule(max_epochs=1)),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+@pytest.mark.parametrize("fn", sorted(_SEEDED))
+def test_bad_seed_is_config_error(fn, seed):
+    """Every seeded library function checks its seed where it seeds numpy's
+    generator: a negative, non-integer or bool seed is a ``ConfigError``."""
+    _SEEDED[fn](np.int64(3))  # numpy integers are integers
+    with pytest.raises(ConfigError, match="seed"):
+        _SEEDED[fn](seed)
 
 
 class TestIdTracker:

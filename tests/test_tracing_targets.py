@@ -83,3 +83,27 @@ def test_cell_spans_count_only_their_own_class(tracing, kind, layers, cell):
     steps = 3 * (layers or 1)
     assert spans == {f"{cell}.step": steps, f"{cell}.backstep": steps}
     assert wrapped_names() == before
+
+
+@pytest.mark.parametrize("k_folds", [2, 3])
+def test_kfold_trains_every_fold_through_the_traced_fit(tracing, k_folds):
+    """perfbench counts ``training.fit.epochs`` on the wrapped ``training.fit``,
+    so ``kfold_validate`` must train each fold through it, and score only the
+    validation windows: one ``evaluate_loss`` per epoch."""
+    from latentcast.experiment import kfold_validate
+    from latentcast.seqmodels import SeqModelConfig
+    from latentcast.training import TrainSchedule
+
+    config = SeqModelConfig(kind="rnn", hidden_size=4, hidden_layers=1, window=3)
+    latents = np.random.default_rng(0).normal(size=(4, 6, 2, 2, 1)).astype(np.float32)
+    schedule = TrainSchedule(batch_size=4, max_epochs=2, patience=5)
+    rec = tracing.Recorder()
+    rec.install()
+    try:
+        kfold_validate(config, latents, k_folds, seed=0, schedule=schedule)
+    finally:
+        rec.uninstall()
+    spans = rec.self_times()
+    assert spans["training.fit"][0] == k_folds
+    assert rec.counters["training.fit.epochs"] == k_folds * schedule.max_epochs
+    assert spans["training.evaluate_loss"][0] == k_folds * schedule.max_epochs

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from latentcast.autoencoder import AutoencoderConfig, build_autoencoder, decode, encode
-from latentcast.errors import ConfigError, ShapeError
+from latentcast.autoencoder import (AutoencoderConfig, build_autoencoder, decode, encode,
+                                    train_autoencoder)
+from latentcast.errors import ConfigError, InsufficientDataError, ShapeError, WindowError
 from latentcast.nn.losses import loss
-from latentcast.seqmodels import SeqModelConfig, build_seq_model, predict_next
+from latentcast.seqmodels import SeqModelConfig, build_seq_model, predict_next, train_seq_model
 from latentcast.synthetic import moving_sprites
 from latentcast.training import EVAL_BATCH, TrainSchedule, evaluate_loss, fit
 
@@ -87,3 +88,45 @@ def test_wrong_rank_is_shape_error(entries, entry, extra_axes):
 def test_schedule_fields_checked(changes):
     with pytest.raises(ConfigError):
         TrainSchedule(**changes)
+
+
+@pytest.mark.parametrize("val", [False, True])
+@pytest.mark.parametrize("kind", ["rnn", "cnn3d", "autoencoder"])
+def test_entry_points_fill_final_train_loss_and_fit_does_not(windows, kind, val):
+    """``fit`` leaves ``final_train_loss`` unset (it scores the training set
+    only when that is also the validation set); the public entry points add
+    the training score with the restored parameters, at the schedule's batch
+    size."""
+    model, tr_x, tr_y, va_x, va_y = _model_and_data(kind, windows)
+    va_x, va_y = (va_x, va_y) if val else (None, None)
+    schedule = TrainSchedule(batch_size=8, max_epochs=3, patience=0)
+    initial = model.snapshot()
+    run = fit(model, tr_x, tr_y, va_x, va_y, schedule)
+    assert np.isnan(run.final_train_loss)
+    model.restore(initial)
+    if kind == "autoencoder":
+        entry = train_autoencoder(model, tr_x, va_x, schedule)
+    else:
+        entry = train_seq_model(model, tr_x, tr_y, va_x, va_y, schedule)
+    assert entry.final_val_loss.hex() == run.final_val_loss.hex()
+    score = evaluate_loss(model, tr_x, tr_y, model.config.loss, schedule.batch_size)
+    assert entry.final_train_loss.hex() == score.hex()
+
+
+def test_empty_training_set_is_a_typed_error():
+    model = build_autoencoder(AutoencoderConfig(dims=[2], input_size=4), 0)
+    with pytest.raises(InsufficientDataError):
+        train_autoencoder(model, np.zeros((0, 4, 4, 1), np.float32))
+    seq = build_seq_model(SeqModelConfig(kind="rnn", hidden_size=2, hidden_layers=1, window=3),
+                          (2, 2, 2), 0)
+    with pytest.raises(WindowError):  # the stage-2 entry keeps its own error
+        train_seq_model(seq, np.zeros((0, 3, 2, 2, 2), np.float32), np.zeros((0, 2, 2, 2)))
+
+
+@pytest.mark.parametrize("loss_kind", ["mse", "rmse"])
+def test_empty_set_scores_to_a_typed_error(windows, loss_kind):
+    x, y = windows
+    model = build_seq_model(SeqModelConfig(kind="rnn", hidden_size=4, hidden_layers=1, window=3),
+                            (2, 2, 2), 0)
+    with pytest.raises(InsufficientDataError):
+        evaluate_loss(model, x[:0], y[:0], loss_kind)
