@@ -383,13 +383,30 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _read_run(path: Path) -> dict:
+    """A ``PipelineResult.to_dict()`` document, refused with a ``DataError``
+    naming the file unless every field that ``report`` reads has its type."""
+    run = _json_object(path.read_bytes(), f"run file {path}", ())
+    metrics, config, intervals = run.get("metrics", {}), run.get("config", {}), run.get("intervals")
+    buckets = intervals.get("buckets") if isinstance(intervals, dict) else None
+    if not isinstance(metrics, dict) or any(
+        type(v) not in (int, float, type(None)) for v in metrics.values()
+    ):
+        raise DataError(f"run file {path}: metrics must map to numbers or nulls")
+    if not isinstance(config, dict) or not isinstance(config.get("sequence_model") or {}, dict):
+        raise DataError(f"run file {path}: config and config.sequence_model must be objects")
+    if intervals is not None and not (
+        buckets and isinstance(buckets, list) and type(intervals.get("range_width")) in (int, float)
+        and all(isinstance(b, dict) and "label" in b and type(b.get("count")) is int
+                and b["count"] >= 0 for b in buckets)
+    ):
+        raise DataError(f"run file {path}: intervals need a range_width and non-empty buckets")
+    return run
+
+
 def _cmd_report(args) -> int:
     runs_dir = Path(args.runs)
-    runs = [
-        _json_object(p.read_bytes(), f"run file {p}", ())
-        for p in sorted(runs_dir.glob("*.json"))
-        if p.name != "report.json"
-    ]
+    runs = [_read_run(p) for p in sorted(runs_dir.glob("*.json")) if p.name != "report.json"]
     if not runs:
         raise FormatError(f"no run JSON files in {runs_dir}")
     intervals = next((run["intervals"] for run in runs if run.get("intervals")), None)

@@ -131,21 +131,15 @@ class VideoDataset:
     @classmethod
     def load(cls, path: str | Path) -> "VideoDataset":
         path = Path(path)
-        shape, values = parse_array_file(path.read_bytes())
-        if len(shape) == 4:
-            values = values[..., None]
-        elif len(shape) != 5:
-            raise FormatError(f"dataset file must be 4-D or 5-D, got shape {shape}")
+        dataset = load_sequences_npy(path, time_axis=1)
         meta_path = path.with_suffix(path.suffix + ".meta.json")
-        if meta_path.exists():
-            meta = _json_object(meta_path.read_bytes(), meta_path.name, ("ids",))
-            ids, labels = meta["ids"], meta.get("labels")
-            if not isinstance(ids, list) or not isinstance(labels, (list, type(None))):
-                raise DataError(f"{meta_path.name}: ids and labels must be lists")
-        else:
-            ids = [f"seq{i:05d}" for i in range(values.shape[0])]
-            labels = None
-        return cls(values.astype(np.float32, copy=False), ids, labels)
+        if not meta_path.exists():
+            return dataset
+        meta = _json_object(meta_path.read_bytes(), meta_path.name, ("ids",))
+        ids, labels = meta["ids"], meta.get("labels")
+        if not isinstance(ids, list) or not isinstance(labels, (list, type(None))):
+            raise DataError(f"{meta_path.name}: ids and labels must be lists")
+        return cls(dataset.data, ids, labels)
 
 
 @dataclass
@@ -178,10 +172,16 @@ class DatasetSplit:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "DatasetSplit":
-        """Parse ``to_json`` output; malformed JSON or a missing key is a
-        ``DataError``."""
+        """Parse ``to_json`` output; malformed JSON, a missing key, an id list
+        that is not a list of strings or a seed that is not an integer >= 0
+        is a ``DataError``."""
         keys = ("train_ids", "val_ids", "test_ids", "seed")
         d = _json_object(text, "split file", keys)
+        for k in keys[:3]:
+            if not isinstance(d[k], list) or not all(isinstance(s, str) for s in d[k]):
+                raise DataError(f"split file: {k} must be a list of strings")
+        if type(d["seed"]) is not int or d["seed"] < 0:
+            raise DataError("split file: seed must be an integer >= 0")
         return cls(*(d[k] for k in keys))
 
 

@@ -3,8 +3,8 @@ optimizers, He initialization, checkpointing and gradient checking."""
 
 from . import functional
 from .cells import Cell, ConvElmanCell, ConvLSTMCell, ElmanCell, GRUCell, LSTMCell, Recurrence
-from .gradcheck import check_model_gradients, finite_difference, max_relative_error
-from .init import he_gain, he_normal
+from .gradcheck import check_model_gradients
+from .init import he_normal
 from .layers import (
     BatchNorm,
     Conv2D,
@@ -19,13 +19,7 @@ from .layers import (
     Sigmoid,
 )
 from .losses import LossKind, loss, loss_with_grad
-from .network import (
-    Model,
-    Sequential,
-    load_checkpoint,
-    register_model_kind,
-    save_checkpoint,
-)
+from .network import Model, Sequential, load_checkpoint, save_checkpoint
 from .optim import Adam, Optimizer, OptimizerKind, RMSProp, make_optimizer
 
 __all__ = [
@@ -55,15 +49,11 @@ __all__ = [
     "Sequential",
     "Sigmoid",
     "check_model_gradients",
-    "finite_difference",
     "functional",
-    "he_gain",
     "he_normal",
     "load_checkpoint",
     "loss",
     "loss_with_grad",
     "make_optimizer",
-    "max_relative_error",
-    "register_model_kind",
     "save_checkpoint",
 ]

@@ -45,15 +45,6 @@ class ContinuityReport:
     skipped_frames: list[int] = field(default_factory=list)
 
 
-def standardize_length(seq: FrameSequence, target_length: int = 20) -> FrameSequence:
-    """Truncate a sequence to its first ``target_length`` frames."""
-    if len(seq) < target_length:
-        raise TooShortError(
-            f"sequence {seq.id!r} has {len(seq)} frames, needs {target_length} (padding unsupported)"
-        )
-    return FrameSequence(id=seq.id, frames=seq.frames[:target_length], label=seq.label)
-
-
 # ---------------------------------------------------------------------------
 # Lanczos-3 resampling
 # ---------------------------------------------------------------------------
@@ -157,20 +148,6 @@ def otsu_binarize(frame: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Border cropping
 # ---------------------------------------------------------------------------
-
-
-def crop_black_borders(
-    frame: np.ndarray, threshold: float = DEFAULT_BORDER_THRESHOLD
-) -> np.ndarray:
-    """Drop leading/trailing rows and columns whose max intensity (across
-    channels) stays below ``threshold``. An entirely dark frame is returned
-    unchanged with a warning."""
-    work = frame if frame.ndim == 3 else frame[..., None]
-    if not (work >= threshold).any():
-        warnings.warn("entire frame below border threshold, returning unchanged")
-        return frame
-    r0, r1, c0, c1 = crop_bounds_sequence(work[None], threshold)
-    return frame[r0:r1, c0:c1]
 
 
 def crop_bounds_sequence(

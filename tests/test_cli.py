@@ -523,6 +523,37 @@ def test_bad_path_input_exits_2_without_traceback(tmp_path, valid_inputs, capsys
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_train_ae_refuses_a_malformed_split_file(tmp_path, valid_inputs, capsys):
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"train_ids": [[1]], "val_ids": [], "test_ids": [], "seed": 0}))
+    assert main(["train-ae", "--dataset", valid_inputs["ds.npy"], "--dims", "4,8", "--epochs", "1",
+                 "--split", str(split), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: split file") and "Traceback" not in err
+
+
+# Run files that are JSON objects but hold a field that report cannot read.
+_BAD_RUNS = {
+    "metrics-number": [{"metrics": 5}],
+    "sequence-model-string": [{"config": {"sequence_model": "x"}}],
+    "intervals-number": [{"intervals": 5}],
+    "intervals-no-buckets": [{"intervals": {"buckets": []}}],
+    "ssim-string": [{"metrics": {"ssim": "a"}}, {"metrics": {"ssim": 0.5}}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RUNS))
+def test_malformed_run_file_exits_2_without_traceback(tmp_path, capsys, case):
+    runs_dir = tmp_path / "runs"
+    runs_dir.mkdir()
+    for i, run in enumerate(_BAD_RUNS[case]):
+        (runs_dir / f"run{i}.json").write_text(json.dumps(run))
+    assert main(["report", "--runs", str(runs_dir), "--out", str(tmp_path / "report.json"),
+                 "--svg", str(tmp_path / "hist.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: run file {runs_dir / 'run0.json'}") and "Traceback" not in err
+
+
 # Each command with one option value the library refuses.
 _BAD_VALUES = {
     "split-test": ["split", "--dataset", "ds.npy", "--test", "1.5"],

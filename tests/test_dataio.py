@@ -373,10 +373,16 @@ class TestSplit:
         again = DatasetSplit.from_json(split.to_json())
         assert again == split
 
-    def test_split_json_missing_key_is_data_error(self):
-        text = json.dumps({"train_ids": ["a"], "val_ids": [], "test_ids": []})
-        with pytest.raises(DataError, match="seed"):
-            DatasetSplit.from_json(text)
+    @pytest.mark.parametrize("doc, named", [
+        ({"train_ids": ["a"], "val_ids": [], "test_ids": []}, "seed"),
+        ({"train_ids": 5, "val_ids": [], "test_ids": [], "seed": 0}, "train_ids"),
+        ({"train_ids": [[1]], "val_ids": [], "test_ids": [], "seed": 0}, "train_ids"),
+        ({"train_ids": ["a"], "val_ids": None, "test_ids": [], "seed": 0}, "val_ids"),
+        ({"train_ids": ["a"], "val_ids": [], "test_ids": [], "seed": -1}, "seed"),
+    ], ids=["no-seed", "ids-number", "ids-nested", "ids-null", "seed-negative"])
+    def test_split_json_missing_key_is_data_error(self, doc, named):
+        with pytest.raises(DataError, match=named):
+            DatasetSplit.from_json(json.dumps(doc))
         with pytest.raises(DataError, match="JSON"):
             DatasetSplit.from_json("[1, 2")
 

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latentcast
 from latentcast.autoencoder import AutoencoderConfig, build_autoencoder
 from latentcast.dataio import write_array_file
 from latentcast.errors import (
@@ -545,6 +549,21 @@ class TestCheckpointFuzz:
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="latent h"):
             load_checkpoint(path)
+
+
+def test_fresh_import_of_network_loads_both_model_kinds(tmp_path):
+    """Importing only ``latentcast.nn.network`` runs the package import,
+    which registers the autoencoder and predictor checkpoint builders."""
+    ae = build_autoencoder(AutoencoderConfig(dims=[4, 8], input_size=16), seed=0)
+    seq = build_seq_model(SeqModelConfig("rnn", hidden_size=3, hidden_layers=1, window=2),
+                          (2, 2, 2), seed=0)
+    paths = [str(save_checkpoint(tmp_path / name, m)) for name, m in (("ae", ae), ("seq", seq))]
+    code = ("import sys\nfrom latentcast.nn.network import load_checkpoint\n"
+            "for p in sys.argv[1:]: print(load_checkpoint(p)[0].spec()['model_kind'])")
+    env = {**os.environ, "PYTHONPATH": str(Path(latentcast.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, *paths], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["autoencoder", "seq_predictor"]
 
 
 class TestGradcheckSpot:

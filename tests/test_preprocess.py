@@ -7,14 +7,13 @@ from latentcast.dataio import FrameSequence, VideoDataset
 from latentcast.errors import ChannelError, SubsetSizeError, TooShortError
 from latentcast.preprocess import (
     PreprocessSpec,
-    crop_black_borders,
+    crop_bounds_sequence,
     frame_centroid,
     lanczos_weight_matrix,
     otsu_binarize,
     otsu_threshold,
     preprocess_dataset,
     resize_lanczos,
-    standardize_length,
     stratified_subset,
     verify_continuity,
 )
@@ -24,21 +23,27 @@ def seq_of(frames: np.ndarray, sid="s0") -> FrameSequence:
     return FrameSequence(sid, frames)
 
 
-class TestStandardizeLength:
+def dataset_of(frames: np.ndarray) -> VideoDataset:
+    return VideoDataset(frames[None], ["s0"])
+
+
+class TestLengthTruncation:
     def test_truncates_to_first_frames(self):
-        frames = np.arange(100, dtype=np.float32).reshape(100, 1, 1, 1)
-        out = standardize_length(seq_of(frames), 20)
-        assert len(out) == 20
-        np.testing.assert_array_equal(out.frames[:, 0, 0, 0], np.arange(20))
+        frames = np.broadcast_to(np.arange(100, dtype=np.float32)[:, None, None, None] / 100,
+                                 (100, 8, 8, 1))
+        out = preprocess_dataset(dataset_of(frames), PreprocessSpec(20, (8, 8)))
+        assert out.data.shape == (1, 20, 8, 8, 1)
+        np.testing.assert_array_equal(out.data[0], frames[:20])
 
     def test_identity_at_target(self):
-        frames = np.zeros((20, 2, 2, 1), dtype=np.float32)
-        out = standardize_length(seq_of(frames), 20)
-        assert out.frames.shape == frames.shape
+        frames = np.random.default_rng(0).random((20, 8, 8, 1)).astype(np.float32)
+        out = preprocess_dataset(dataset_of(frames), PreprocessSpec(20, (8, 8)))
+        np.testing.assert_array_equal(out.data[0], frames)
 
     def test_too_short(self):
+        frames = np.zeros((19, 8, 8, 1), dtype=np.float32)
         with pytest.raises(TooShortError):
-            standardize_length(seq_of(np.zeros((19, 2, 2, 1), dtype=np.float32)), 20)
+            preprocess_dataset(dataset_of(frames), PreprocessSpec(20, (8, 8)))
 
 
 from oracles import lanczos_reference, otsu_reference
@@ -128,29 +133,22 @@ class TestOtsu:
             assert otsu_threshold(frame) == otsu_reference(frame)
 
 
-class TestCropBorders:
+class TestCropBounds:
     def test_removes_dark_columns(self):
-        frame = np.full((10, 12, 1), 0.5, dtype=np.float32)
-        frame[:, :4] = 0.0
-        out = crop_black_borders(frame, threshold=0.04)
-        assert out.shape == (10, 8, 1)
+        frames = np.full((2, 10, 12, 1), 0.5, dtype=np.float32)
+        frames[:, :, :4] = 0.0
+        assert crop_bounds_sequence(frames, threshold=0.04) == (0, 10, 4, 12)
 
     def test_no_border_unchanged(self):
-        frame = np.full((6, 6, 1), 0.5, dtype=np.float32)
-        out = crop_black_borders(frame, threshold=0.04)
-        assert out.shape == frame.shape
-
-    def test_all_black_warns(self):
-        frame = np.zeros((6, 6, 1), dtype=np.float32)
-        with pytest.warns(UserWarning):
-            out = crop_black_borders(frame, threshold=0.04)
-        assert out.shape == frame.shape
+        frames = np.full((2, 6, 6, 1), 0.5, dtype=np.float32)
+        assert crop_bounds_sequence(frames, threshold=0.04) == (0, 6, 0, 6)
+        # an all-dark sequence keeps its whole frame too
+        assert crop_bounds_sequence(np.zeros_like(frames), threshold=0.04) == (0, 6, 0, 6)
 
     def test_max_over_channels(self):
-        frame = np.zeros((6, 6, 3), dtype=np.float32)
-        frame[:, 2:, 2] = 0.5  # only the blue channel is bright
-        out = crop_black_borders(frame, threshold=0.04)
-        assert out.shape == (6, 4, 3)
+        frames = np.zeros((1, 6, 6, 3), dtype=np.float32)
+        frames[:, :, 2:, 2] = 0.5  # only the blue channel is bright
+        assert crop_bounds_sequence(frames, threshold=0.04) == (0, 6, 2, 6)
 
 
 class TestStratifiedSubset:
