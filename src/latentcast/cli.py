@@ -25,7 +25,8 @@ from .dataio import (
     split_sequences,
     write_array_file,
 )
-from .errors import DataError, FormatError, LatentcastError, TrainingAbortError, _check_int
+from .errors import (CheckpointError, DataError, FormatError, LatentcastError,
+                     TrainingAbortError, _check_int)
 from .experiment import (
     PipelineTiming,
     _test_stage,
@@ -40,7 +41,7 @@ from .metrics import score_frames
 from .nn.network import Model, load_checkpoint, save_checkpoint
 from .preprocess import PreprocessSpec, preprocess_dataset, stratified_subset, verify_continuity
 from .seqmodels import SeqModelConfig, SeqModelKind, window_dataset
-from .training import TrainSchedule
+from .training import TrainRun, TrainSchedule
 
 
 class _Parser(argparse.ArgumentParser):
@@ -247,14 +248,27 @@ def _select_split(
     return ds.select(split.train_ids).data, val
 
 
-def _load_model(path: str, kind: str) -> Model:
-    """The model of a checkpoint, which must hold a ``kind`` model
-    (``autoencoder`` or ``seq_predictor``)."""
-    model = load_checkpoint(path)[0]
+def _load_model(path: str, kind: str) -> tuple[Model, dict]:
+    """The model and manifest of a checkpoint, which must hold a ``kind``
+    model (``autoencoder`` or ``seq_predictor``)."""
+    model, manifest = load_checkpoint(path)
     found = model.spec()["model_kind"]
     if found != kind:
         raise FormatError(f"{path} holds a {found} checkpoint, expected {kind}")
-    return model
+    return model, manifest
+
+
+def _trained_model(path: str, kind: str) -> tuple[Model, TrainRun]:
+    """A checkpoint's model and its manifest's ``extra.train_run``; a
+    checkpoint saved without one gets a run of the model's config and seed."""
+    model, manifest = _load_model(path, kind)
+    try:
+        block = (manifest.get("extra") or {}).get("train_run")
+        if block is None:
+            return model, TrainRun(config=asdict(model.config), seed=model.seed)
+        return model, TrainRun(**block)
+    except (AttributeError, TypeError) as exc:
+        raise CheckpointError(f"{path}: extra.train_run is not a training run: {exc}") from None
 
 
 def _cmd_train_ae(args) -> int:
@@ -268,7 +282,7 @@ def _cmd_train_ae(args) -> int:
         input_size=train.shape[2],
     )
     model, run = fit_autoencoder(config, args.seed, train, val, _schedule(args))
-    save_checkpoint(args.out, model, extra={"train_run": run.to_dict()})
+    save_checkpoint(args.out, model, extra={"train_run": asdict(run)})
     print(
         f"trained autoencoder: best epoch {run.best_epoch}, "
         f"train {run.final_train_loss:.6g}, val {run.final_val_loss:.6g}; saved to {args.out}"
@@ -277,7 +291,7 @@ def _cmd_train_ae(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    model = _load_model(args.ckpt, "autoencoder")
+    model = _load_model(args.ckpt, "autoencoder")[0]
     ds = VideoDataset.load(args.dataset)
     latents = encode_dataset(model, ds.data)
     VideoDataset(latents, ds.ids, ds.labels).save(args.out)
@@ -297,7 +311,7 @@ def _cmd_train_seq(args) -> int:
         window=args.window,
     )
     model, run = fit_predictor(config, args.seed, train, val, _schedule(args))
-    save_checkpoint(args.out, model, extra={"train_run": run.to_dict()})
+    save_checkpoint(args.out, model, extra={"train_run": asdict(run)})
     print(
         f"trained {args.kind}: best epoch {run.best_epoch}, "
         f"train {run.final_train_loss:.6g}, val {run.final_val_loss:.6g}; saved to {args.out}"
@@ -337,7 +351,7 @@ def _cmd_gridsearch(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    model = _load_model(args.ckpt, "seq_predictor")
+    model = _load_model(args.ckpt, "seq_predictor")[0]
     values = VideoDataset.load(args.latents or args.frames).data
     inputs, _, _ = window_dataset(values[: min(8, len(values))], model.config.window)
     report = benchmark_inference(model, inputs, warmup=args.warmup, iters=args.iters)
@@ -349,21 +363,21 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    autoencoder = _load_model(args.ae_ckpt, "autoencoder")
-    model = _load_model(args.seq_ckpt, "seq_predictor")
+    autoencoder, ae_run = _trained_model(args.ae_ckpt, "autoencoder")
+    model, seq_run = _trained_model(args.seq_ckpt, "seq_predictor")
     ds = VideoDataset.load(args.dataset)
     split = _read_split(args.split)
     if split is not None:
         if not split.test_ids:
             raise DataError(f"split file {args.split} names no test sequences")
         ds = ds.select(split.test_ids)
-    loss, kl, dropped, pred, truth, _ = _test_stage(autoencoder, model, ds.data, PipelineTiming())
+    result, pred, truth = _test_stage(autoencoder, ae_run, model, seq_run, split, ds.data,
+                                      PipelineTiming())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_array_file(out / "pred.npy", pred)
     write_array_file(out / "truth.npy", truth)
-    doc = {"n_predictions": len(pred), "test_loss": loss, "kl": kl, "kl_dropped_units": dropped}
-    (out / "predict.json").write_text(json.dumps(doc, indent=2))
+    (out / "predict.json").write_text(json.dumps(result.to_dict(), indent=2))
     print(f"wrote {len(pred)} predicted frames to {out}")
     return 0
 
@@ -376,7 +390,7 @@ def _cmd_evaluate(args) -> int:
     pred = pred.reshape(-1, *shape_p[-3:]) if len(shape_p) > 4 else pred
     truth = truth.reshape(pred.shape)
     report = score_frames(pred, truth, with_intervals=args.intervals)
-    doc = {"n_frames": int(pred.shape[0]), **report.to_dict()}
+    doc = {"n_frames": int(pred.shape[0]), **asdict(report)}
     Path(args.out).write_text(json.dumps(doc, indent=2))
     summary = {k: v for k, v in doc.items() if isinstance(v, (int, float))}
     print(json.dumps(summary, indent=2))
@@ -384,8 +398,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _read_run(path: Path) -> dict:
-    """A ``PipelineResult.to_dict()`` document, refused with a ``DataError``
-    naming the file unless every field that ``report`` reads has its type."""
+    """A run document, ``PipelineResult.to_dict()`` as ``run_pipeline``
+    returns it and ``predict`` writes it to ``predict.json``, refused with a
+    ``DataError`` naming the file unless every field that ``report`` reads
+    has its type."""
     run = _json_object(path.read_bytes(), f"run file {path}", ())
     metrics, config, intervals = run.get("metrics", {}), run.get("config", {}), run.get("intervals")
     buckets = intervals.get("buckets") if isinstance(intervals, dict) else None

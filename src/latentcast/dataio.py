@@ -249,7 +249,7 @@ def _read_npy(data: bytes) -> tuple[list[int], np.ndarray]:
 
 def write_array_file(path: str | Path, values: np.ndarray) -> None:
     """Write a C-order little-endian ``.npy`` v1 file."""
-    values = np.ascontiguousarray(values)
+    values = np.asarray(values, order="C")
     if values.dtype == np.uint8:
         descr = "|u1"
     elif values.dtype == np.float32:

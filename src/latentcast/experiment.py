@@ -1,6 +1,6 @@
 """Pipeline orchestration: the stage-1 and stage-2 training functions, grid
-search, K-fold validation, the three-stage run, the pixel-space baseline,
-inference benchmarking and report emission."""
+search, K-fold validation, the three-stage run and its test stage, inference
+benchmarking and report emission."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -256,49 +256,45 @@ class PipelineTiming:
     def total_s(self) -> float:
         return self.stage2_s + self.stage1_plus_3_s
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "stage2_s": self.stage2_s,
-                "stage1_plus_3_s": self.stage1_plus_3_s, "total_s": self.total_s}
-
 
 @dataclass
 class PipelineResult:
+    """One run of the test stage; ``to_dict`` is the run document that
+    ``run_pipeline`` returns, ``latentcast predict`` writes and ``report``
+    reads. ``split`` is None when the test sequences came without one."""
+
     config: dict
     seed: int
-    split: DatasetSplit
+    split: DatasetSplit | None
+    ae_run: TrainRun
     seq_run: TrainRun
+    ae_test: MetricReport
     prediction: MetricReport
-    timing: PipelineTiming
+    latent_kl: float
+    latent_kl_dropped_units: int
     n_predictions: int
-    ae_run: TrainRun | None = None
-    ae_test: MetricReport | None = None
-    latent_kl: float | None = None
-    latent_kl_dropped_units: int = 0
+    timing: PipelineTiming
 
     def to_dict(self) -> dict:
-        metrics = {
-            "mae": self.prediction.mae,
-            "mse": self.prediction.mse,
-            "ssim": self.prediction.ssim_mean,
-            "kl": self.latent_kl,
-        }
+        prediction, split = asdict(self.prediction), self.split
         return {
             "config": self.config,
             "seed": self.seed,
-            "split": {
-                "train": len(self.split.train_ids),
-                "val": len(self.split.val_ids),
-                "test": len(self.split.test_ids),
-                "seed": self.split.seed,
+            "split": None if split is None else {
+                "train": len(split.train_ids),
+                "val": len(split.val_ids),
+                "test": len(split.test_ids),
+                "seed": split.seed,
             },
-            "metrics": metrics,
+            "metrics": {"mae": prediction["mae"], "mse": prediction["mse"],
+                        "ssim": prediction["ssim_mean"], "kl": self.latent_kl},
             "n_predictions": self.n_predictions,
-            "seq_run": self.seq_run.to_dict(),
-            "ae_run": self.ae_run.to_dict() if self.ae_run else None,
-            "ae_test": self.ae_test.to_dict() if self.ae_test else None,
-            "intervals": self.prediction.intervals.to_dict() if self.prediction.intervals else None,
-            "ssim_scores": self.prediction.ssim_scores,
-            "timing": self.timing.to_dict(),
+            "seq_run": asdict(self.seq_run),
+            "ae_run": asdict(self.ae_run),
+            "ae_test": asdict(self.ae_test),
+            "intervals": prediction["intervals"],
+            "ssim_scores": prediction["ssim_scores"],
+            "timing": asdict(self.timing),
             "latent_kl_dropped_units": self.latent_kl_dropped_units,
         }
 
@@ -314,24 +310,6 @@ def safe_latent_kl(latents: np.ndarray) -> tuple[float, int]:
     return kl_gauss(LatentStats(stats.mu[alive], stats.sigma[alive])), dropped
 
 
-def _partition(
-    dataset: VideoDataset,
-    test_fraction: float,
-    val_fraction: float,
-    seed: int,
-    split_seed: int | None,
-) -> tuple[DatasetSplit, IdTracker, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Split by sequence (``split_seed``, else ``seed``); returns the split,
-    its test-id tracker and the train, validation (None when empty) and test
-    sequences."""
-    split = split_sequences(
-        dataset.ids, test_fraction, val_fraction, seed if split_seed is None else split_seed
-    )
-    val = dataset.select(split.val_ids).data if split.val_ids else None
-    return (split, IdTracker(split.test_ids), dataset.select(split.train_ids).data, val,
-            dataset.select(split.test_ids).data)
-
-
 def forecast(model: SeqPredictor, sequences: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Stage-2 test: window the (N, T, ...) sequences and predict each
     window's next frame in one pass, scored by the model's loss. Returns the
@@ -342,49 +320,51 @@ def forecast(model: SeqPredictor, sequences: np.ndarray) -> tuple[float, np.ndar
 
 
 def _test_stage(
-    autoencoder: Autoencoder, model: SeqPredictor, test: np.ndarray, timing: PipelineTiming
-) -> tuple[float, float, int, np.ndarray, np.ndarray, np.ndarray]:
+    autoencoder: Autoencoder,
+    ae_run: TrainRun,
+    model: SeqPredictor,
+    seq_run: TrainRun,
+    split: DatasetSplit | None,
+    test: np.ndarray,
+    timing: PipelineTiming,
+) -> tuple[PipelineResult, np.ndarray, np.ndarray]:
     """Stages 1-3 on the (N, T, H, W, C) test sequences: encode, latent KL,
-    ``forecast``, decode. Adds to the encode, predict and decode timings;
-    returns the stage-2 test loss, the KL and its dropped units, the
-    predicted frames, the truth frames they are scored against and the
-    test latents."""
+    ``forecast``, decode. Scores the prediction and the autoencoder's
+    reconstruction of the test frames, sets both runs' final test loss and
+    adds to the encode, predict and decode timings. Returns the run, the
+    predicted frames and the truth frames they are scored against."""
     t0 = time.perf_counter()
     latents = encode_dataset(autoencoder, test)
     timing.stage1_encode_s += time.perf_counter() - t0
     latent_kl, dropped = safe_latent_kl(latents)
 
     t0 = time.perf_counter()
-    test_loss, pred_latents, _ = forecast(model, latents)
+    seq_run.final_test_loss, pred_latents, _ = forecast(model, latents)
     timing.stage2_predict_s += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     pred = decode(autoencoder, pred_latents.astype(np.float32, copy=False))
     timing.stage3_decode_s += time.perf_counter() - t0
-    truth = _flat_frames(test[:, model.config.window :])
-    return test_loss, latent_kl, dropped, pred, truth, latents
+    truth = _flat_frames(test[:, model.config.window :])  # score_frames checks the shapes
 
-
-def _stage2(
-    seq_config: SeqModelConfig,
-    seed: int,
-    schedule: TrainSchedule | None,
-    split: DatasetSplit,
-    tracker: IdTracker,
-    role: str,
-    train: np.ndarray,
-    val: np.ndarray | None,
-    timing: PipelineTiming,
-) -> tuple[SeqPredictor, TrainRun]:
-    """Train the predictor on the train and validation sequences after
-    registering their ids; fills the stage-2 training time."""
-    tracker.use(split.train_ids, f"{role}-train")
-    if val is not None:
-        tracker.use(split.val_ids, f"{role}-val")
-    t0 = time.perf_counter()
-    model, seq_run = fit_predictor(seq_config, seed, train, val, schedule)
-    timing.stage2_train_s = time.perf_counter() - t0
-    return model, seq_run
+    recon = decode(autoencoder, _flat_frames(latents))  # the test frames are encoded once
+    ae_test = score_frames(recon, _flat_frames(test), with_intervals=False)
+    ae_run.final_test_loss = ae_test.mse
+    result = PipelineResult(
+        config={"autoencoder": asdict(autoencoder.config),
+                "sequence_model": asdict(model.config)},
+        seed=model.seed,
+        split=split,
+        ae_run=ae_run,
+        seq_run=seq_run,
+        ae_test=ae_test,
+        prediction=score_frames(pred, truth),
+        latent_kl=latent_kl,
+        latent_kl_dropped_units=dropped,
+        n_predictions=len(pred),
+        timing=timing,
+    )
+    return result, pred, truth
 
 
 def run_pipeline(
@@ -406,14 +386,14 @@ def run_pipeline(
     id tracker raises on any violation. ``split_seed`` pins the partition
     independently of the model seed (model-comparison runs share one split).
     """
-    split, tracker, train, val, test = _partition(
-        dataset, test_fraction, val_fraction, seed, split_seed
+    split = split_sequences(
+        dataset.ids, test_fraction, val_fraction, seed if split_seed is None else split_seed
     )
+    IdTracker(split.test_ids).use(split.train_ids + split.val_ids, "training")
+    train = dataset.select(split.train_ids).data
+    val = dataset.select(split.val_ids).data if split.val_ids else None
     timing = PipelineTiming()
 
-    tracker.use(split.train_ids, "stage1-train")
-    if val is not None:
-        tracker.use(split.val_ids, "stage1-val")
     t0 = time.perf_counter()
     autoencoder, ae_run = fit_autoencoder(ae_config, seed, train, val, ae_schedule)
     timing.stage1_train_s = time.perf_counter() - t0
@@ -423,66 +403,12 @@ def run_pipeline(
     lat_val = encode_dataset(autoencoder, val) if val is not None else None
     timing.stage1_encode_s = time.perf_counter() - t0
 
-    model, seq_run = _stage2(
-        seq_config, seed, seq_schedule, split, tracker, "stage2", lat_train, lat_val, timing
-    )
-    seq_run.final_test_loss, latent_kl, dropped, pred_frames, truth, latents = _test_stage(
-        autoencoder, model, test, timing
-    )
-    prediction = score_frames(pred_frames, truth)
-    expected = len(split.test_ids) * (dataset.data.shape[1] - seq_config.window)
-    assert len(pred_frames) == expected, "prediction count must be n_test * (T - window)"
-
-    recon = decode(autoencoder, _flat_frames(latents))  # the test frames are encoded once
-    ae_test = score_frames(recon, _flat_frames(test), with_intervals=False)
-    ae_run.final_test_loss = ae_test.mse
-
-    return PipelineResult(
-        config={"autoencoder": asdict(ae_config), "sequence_model": asdict(seq_config)},
-        seed=seed,
-        split=split,
-        seq_run=seq_run,
-        prediction=prediction,
-        timing=timing,
-        n_predictions=len(pred_frames),
-        ae_run=ae_run,
-        ae_test=ae_test,
-        latent_kl=latent_kl,
-        latent_kl_dropped_units=dropped,
-    )
-
-
-def run_baseline(
-    dataset: VideoDataset,
-    seq_config: SeqModelConfig,
-    seed: int = 0,
-    seq_schedule: TrainSchedule | None = None,
-    test_fraction: float = 0.2,
-    val_fraction: float = 0.2,
-    split_seed: int | None = None,
-) -> PipelineResult:
-    """Same predictor trained directly on raw frames (sigmoid output head),
-    scored with the same metric suite."""
-    seq_config = replace(seq_config, output_activation="sigmoid")
-    split, tracker, train, val, test = _partition(
-        dataset, test_fraction, val_fraction, seed, split_seed
-    )
-    timing = PipelineTiming()
-    model, seq_run = _stage2(
-        seq_config, seed, seq_schedule, split, tracker, "baseline", train, val, timing
-    )
     t0 = time.perf_counter()
-    seq_run.final_test_loss, pred_frames, truth = forecast(model, test)
-    timing.stage2_predict_s = time.perf_counter() - t0
-    return PipelineResult(
-        config={"autoencoder": None, "sequence_model": asdict(seq_config)},
-        seed=seed,
-        split=split,
-        seq_run=seq_run,
-        prediction=score_frames(pred_frames, truth),
-        timing=timing,
-        n_predictions=len(pred_frames),
-    )
+    model, seq_run = fit_predictor(seq_config, seed, lat_train, lat_val, seq_schedule)
+    timing.stage2_train_s = time.perf_counter() - t0
+
+    test = dataset.select(split.test_ids).data
+    return _test_stage(autoencoder, ae_run, model, seq_run, split, test, timing)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +465,7 @@ def benchmark_inference(
 
 
 def interval_histogram_svg(intervals: dict, width: int = 480, height: int = 300) -> str:
-    """Bar chart of the four interval counts of an ``IntervalReport.to_dict()``
+    """Bar chart of the four interval counts of an ``asdict(IntervalReport)``
     as a standalone SVG document."""
     margin = 40
     bar_zone = width - 2 * margin
@@ -578,7 +504,7 @@ def emit_report(
 ) -> dict:
     """Write the consolidated JSON report; rows of the comparison table are
     sorted by test SSIM descending. ``intervals`` is an
-    ``IntervalReport.to_dict()``. Returns the document."""
+    ``asdict(IntervalReport)``. Returns the document."""
     if not runs:
         raise ConfigError("emit_report needs at least one run")
 

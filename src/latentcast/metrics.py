@@ -14,7 +14,7 @@ in one such call; ``ssim`` is the same code on a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,9 +85,6 @@ class IntervalReport:
     @property
     def counts(self) -> list[int]:
         return [b.count for b in self.buckets]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
@@ -246,9 +243,6 @@ class MetricReport:
     ssim_mean: float
     ssim_scores: list[float] = field(default_factory=list)
     intervals: IntervalReport | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def score_frames(

@@ -5,8 +5,8 @@ Six kinds: vector RNN / LSTM / GRU (flatten, project to the hidden size,
 run stacked cells, project back), ConvLSTM (stacked convolutional LSTM
 cells plus a 1x1 head), 3D-CNN (two depth-collapsing volume convolutions)
 and CRNN (shared per-frame conv features into a convolutional Elman
-recurrence). Output heads are linear for latent targets; the pixel-space
-baseline uses a sigmoid head instead.
+recurrence). Output heads are linear for latent targets; a predictor of
+pixels takes a sigmoid head instead.
 """
 
 from __future__ import annotations

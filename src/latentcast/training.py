@@ -48,9 +48,6 @@ class TrainRun:
     final_val_loss: float = math.nan
     final_test_loss: float | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def predict_batched(model: Model, x: np.ndarray) -> np.ndarray:
     """Eval-mode forward of a batch, ``EVAL_BATCH`` items at a time."""

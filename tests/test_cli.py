@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +17,17 @@ from latentcast.autoencoder import AutoencoderConfig
 from latentcast.cli import _COMMANDS, build_parser, main
 from latentcast.dataio import NPY_MAGIC, VideoDataset, write_array_file
 from latentcast.experiment import run_pipeline
+from latentcast.nn.network import load_checkpoint, save_checkpoint
 from latentcast.seqmodels import SeqModelConfig
 from latentcast.synthetic import moving_sprites
 from latentcast.training import TrainSchedule
 
 
-def write_pgm(path, pixels):
-    h, w = pixels.shape
-    path.write_bytes(b"P5 %d %d 255\n" % (w, h) + pixels.astype(np.uint8).tobytes())
+def write_pnm(path, pixels):
+    """A binary PGM of (H, W) or (H, W, 1) pixels, or a PPM of (H, W, 3)."""
+    h, w = pixels.shape[:2]
+    magic = b"P6" if pixels.ndim == 3 and pixels.shape[2] == 3 else b"P5"
+    path.write_bytes(magic + b" %d %d 255\n" % (w, h) + pixels.astype(np.uint8).tobytes())
 
 
 @pytest.fixture()
@@ -50,7 +54,7 @@ class TestIngest:
             seq_dir = tmp_path / f"video{s}"
             seq_dir.mkdir()
             for i in range(4):
-                write_pgm(seq_dir / f"f{i:02d}.pgm", rng.integers(0, 256, size=(12, 12)))
+                write_pnm(seq_dir / f"f{i:02d}.pgm", rng.integers(0, 256, size=(12, 12)))
         out = tmp_path / "ds.npy"
         code = main(
             ["ingest", "--input", str(tmp_path), "--format", "pnm-dir",
@@ -191,7 +195,7 @@ class TestTrainFlow:
             seq_schedule=TrainSchedule(batch_size=16, max_epochs=1),
             split_seed=3,
         )
-        lib_run = result.ae_run.to_dict()
+        lib_run = asdict(result.ae_run)
         del cli_run["final_test_loss"], lib_run["final_test_loss"]
         assert cli_run == lib_run
 
@@ -249,47 +253,73 @@ class TestTrainFlow:
         assert "jobs must be an integer >= 1" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("kind, layers", [("convlstm", "1"), ("rnn", "1"), ("cnn3d", None)])
-    def test_cli_chain_matches_pipeline(self, tmp_path, dataset_file, kind, layers):
-        split, ae_dir, latents = tmp_path / "split.json", tmp_path / "ae", tmp_path / "lat.npy"
-        seq_dir, pred_dir, scores = tmp_path / "seq", tmp_path / "pred", tmp_path / "eval.json"
+    @pytest.mark.parametrize("channels, kinds", [(1, ["cnn3d", "convlstm", "rnn"]), (3, ["gru"])],
+                             ids=["gray", "colour"])
+    def test_cli_chain_matches_pipeline(self, tmp_path, channels, kinds):
+        """ingest -> split -> train-ae -> extract -> train-seq -> predict ->
+        report gives the run documents and comparison of ``run_pipeline``."""
+        frames, runs = tmp_path / "frames", tmp_path / "runs"
+        ds_file, split, ae_dir, latents = (tmp_path / n for n in ("ds.npy", "split.json", "ae",
+                                                                 "lat.npy"))
+        sprites = moving_sprites(8, length=8, size=16, sprite_size=5, channels=channels, seed=1)
+        for seq_id, seq in zip(sprites.ids, np.rint(sprites.data * 255)):
+            (frames / seq_id).mkdir(parents=True)
+            for i, frame in enumerate(seq):
+                write_pnm(frames / seq_id / f"f{i:02d}.{'pgm' if channels == 1 else 'ppm'}",
+                          frame)
         schedule = ["--epochs", "2", "--batch-size", "16"]
-        assert main(["split", "--dataset", str(dataset_file), "--seed", "3",
+        assert main(["ingest", "--input", str(frames), "--format", "pnm-dir",
+                     "--channels", str(channels), "--out", str(ds_file)]) == 0
+        assert main(["split", "--dataset", str(ds_file), "--seed", "3",
                      "--out", str(split)]) == 0
-        assert main(["train-ae", "--dataset", str(dataset_file), "--dims", "4,8",
+        assert main(["train-ae", "--dataset", str(ds_file), "--dims", "4,8",
                      "--loss", "mse", "--lr", "0.003", "--seed", "0", "--split", str(split),
                      *schedule, "--out", str(ae_dir)]) == 0
-        assert main(["extract", "--ckpt", str(ae_dir), "--dataset", str(dataset_file),
+        assert main(["extract", "--ckpt", str(ae_dir), "--dataset", str(ds_file),
                      "--out", str(latents)]) == 0
-        depth = ["--layers", layers] if layers else []
-        assert main(["train-seq", "--latents", str(latents), "--kind", kind, *depth,
-                     "--hidden", "4", "--window", "3", "--lr", "0.003", "--seed", "0",
-                     "--split", str(split), *schedule, "--out", str(seq_dir)]) == 0
-        assert main(["predict", "--ae-ckpt", str(ae_dir), "--seq-ckpt", str(seq_dir),
-                     "--dataset", str(dataset_file), "--split", str(split),
-                     "--out", str(pred_dir)]) == 0
-        assert main(["evaluate", "--pred", str(pred_dir / "pred.npy"),
-                     "--truth", str(pred_dir / "truth.npy"), "--out", str(scores)]) == 0
-        cli = json.loads(scores.read_text())
-        predicted = json.loads((pred_dir / "predict.json").read_text())
+        runs.mkdir()
+        dataset, lib_docs = VideoDataset.load(ds_file), []
+        for kind in kinds:
+            layers = None if kind == "cnn3d" else 1
+            depth = ["--layers", str(layers)] if layers else []
+            seq_dir, pred_dir, scores = (tmp_path / f"{kind}-{n}" for n in ("seq", "pred",
+                                                                           "eval.json"))
+            assert main(["train-seq", "--latents", str(latents), "--kind", kind, *depth,
+                         "--hidden", "4", "--window", "3", "--lr", "0.003", "--seed", "0",
+                         "--split", str(split), *schedule, "--out", str(seq_dir)]) == 0
+            assert main(["predict", "--ae-ckpt", str(ae_dir), "--seq-ckpt", str(seq_dir),
+                         "--dataset", str(ds_file), "--split", str(split),
+                         "--out", str(pred_dir)]) == 0
+            assert main(["evaluate", "--pred", str(pred_dir / "pred.npy"),
+                         "--truth", str(pred_dir / "truth.npy"), "--out", str(scores)]) == 0
+            (runs / f"{kind}.json").write_bytes((pred_dir / "predict.json").read_bytes())
+            cli = json.loads((pred_dir / "predict.json").read_text())
 
-        lib = run_pipeline(
-            VideoDataset.load(dataset_file),
-            AutoencoderConfig(dims=[4, 8], loss="mse", learning_rate=0.003, input_size=16),
-            SeqModelConfig(kind=kind, hidden_size=4, hidden_layers=layers and int(layers),
-                           window=3, learning_rate=0.003),
-            seed=0,
-            ae_schedule=TrainSchedule(batch_size=16, max_epochs=2),
-            seq_schedule=TrainSchedule(batch_size=16, max_epochs=2),
-            split_seed=3,
-        ).to_dict()
-        assert cli["mae"] == lib["metrics"]["mae"]
-        assert cli["mse"] == lib["metrics"]["mse"]
-        assert cli["ssim_mean"] == lib["metrics"]["ssim"]
-        assert cli["ssim_scores"] == lib["ssim_scores"]
-        assert cli["n_frames"] == predicted["n_predictions"] == lib["n_predictions"]
-        assert predicted["kl"] == lib["metrics"]["kl"]
-        assert predicted["test_loss"] == lib["seq_run"]["final_test_loss"]
+            lib = json.loads(json.dumps(run_pipeline(
+                dataset,
+                AutoencoderConfig(dims=[4, 8], loss="mse", learning_rate=0.003, input_size=16,
+                                  input_channels=channels),
+                SeqModelConfig(kind=kind, hidden_size=4, hidden_layers=layers, window=3,
+                               learning_rate=0.003),
+                seed=0,
+                ae_schedule=TrainSchedule(batch_size=16, max_epochs=2),
+                seq_schedule=TrainSchedule(batch_size=16, max_epochs=2),
+                split_seed=3,
+            ).to_dict()))
+            lib_docs.append(lib)
+            assert {**cli, "timing": None} == {**lib, "timing": None}
+            scored = json.loads(scores.read_text())
+            assert [scored["mae"], scored["mse"], scored["ssim_mean"], scored["ssim_scores"]] == [
+                lib["metrics"]["mae"], lib["metrics"]["mse"], lib["metrics"]["ssim"],
+                lib["ssim_scores"]]
+            assert scored["n_frames"] == cli["n_predictions"] == cli["split"]["test"] * (8 - 3)
+
+        report, svg = tmp_path / "report.json", tmp_path / "hist.svg"
+        assert main(["report", "--runs", str(runs), "--out", str(report), "--svg", str(svg)]) == 0
+        expected = experiment.emit_report(lib_docs, tmp_path / "lib-report.json")
+        assert json.loads(report.read_text())["comparison"] == expected["comparison"]
+        assert sorted(row["model"] for row in expected["comparison"]) == kinds
+        assert svg.read_text().startswith("<svg")
 
     @pytest.mark.parametrize("stage", ["seq", "ae"])
     def test_gridsearch_split_keeps_test_sequences_out(self, tmp_path, dataset_file, stage):
@@ -530,6 +560,26 @@ def test_train_ae_refuses_a_malformed_split_file(tmp_path, valid_inputs, capsys)
                  "--split", str(split), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: split file") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [lambda run: [run], lambda run: {**run, "bogus": 1}, None],
+                         ids=["list", "unknown-key", "no-extra"])
+def test_predict_reads_each_checkpoint_train_run(tmp_path, valid_inputs, capsys, edit):
+    model, manifest = load_checkpoint(valid_inputs["seq-ckpt"])
+    extra = edit and {"train_run": edit(manifest["extra"]["train_run"])}
+    ckpt = save_checkpoint(tmp_path / "seq", model, extra=extra)
+    code = main(["predict", "--ae-ckpt", valid_inputs["ae-ckpt"], "--seq-ckpt", str(ckpt),
+                 "--dataset", valid_inputs["ds.npy"], "--out", str(tmp_path / "p")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if edit is not None:
+        assert code == 2 and err.startswith("error: ") and "extra.train_run" in err
+        return
+    assert code == 0
+    doc = json.loads((tmp_path / "p" / "predict.json").read_text())
+    assert doc["split"] is None and doc["seed"] == model.seed
+    assert doc["seq_run"]["config"] == doc["config"]["sequence_model"]
+    assert doc["seq_run"]["train_curve"] == [] and doc["seq_run"]["final_test_loss"] is not None
 
 
 # Run files that are JSON objects but hold a field that report cannot read.

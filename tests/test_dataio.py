@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -65,6 +66,13 @@ class TestNpy:
         shape, values = parse_array_file(npy_bytes(tmp_path, arr))
         assert shape == [3, 4, 5]
         assert values.tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 3)])
+    def test_round_trip_keeps_shape(self, tmp_path, shape):
+        arr = np.arange(math.prod(shape), dtype=np.float32).reshape(shape)
+        shape_out, values = parse_array_file(npy_bytes(tmp_path, arr))
+        assert shape_out == list(shape)
+        assert values.shape == shape and values.tobytes() == arr.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,6 @@ from latentcast.experiment import (
     grid_enumerate,
     grid_search_ae,
     kfold_validate,
-    run_baseline,
     run_pipeline,
 )
 from latentcast.metrics import bucketize_intervals
@@ -328,14 +327,6 @@ class TestPipeline:
         )
         assert a.split.test_ids == b.split.test_ids
 
-    def test_baseline_outputs_in_unit_interval(self, micro_dataset):
-        cfg = SeqModelConfig(kind="rnn", hidden_size=8, hidden_layers=1, window=3,
-                             learning_rate=0.003)
-        result = run_baseline(micro_dataset, cfg, seed=0, seq_schedule=MICRO_SCHED)
-        assert result.config["sequence_model"]["output_activation"] == "sigmoid"
-        assert result.n_predictions == len(result.split.test_ids) * (8 - 3)
-        assert result.prediction.ssim_mean <= 1.0
-
 
 def test_forecast_runs_the_model_once_per_batch():
     sequences = np.random.default_rng(2).normal(size=(30, 6, 2, 2, 2)).astype(np.float32)
@@ -416,7 +407,7 @@ class TestReport:
     def test_svg_histogram(self, tmp_path):
         intervals = bucketize_intervals([0.1, 0.4, 0.5, 0.9])
         svg = tmp_path / "hist.svg"
-        emit_report([self._run_dict(0.4)], tmp_path / "r.json", intervals=intervals.to_dict(),
+        emit_report([self._run_dict(0.4)], tmp_path / "r.json", intervals=asdict(intervals),
                     svg_path=svg)
         text = svg.read_text()
         assert text.startswith("<svg") and "excellent" in text
