@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 training abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,9 @@ from .experiment import (
     grid_search_seq,
 )
 from .metrics import score_frames
+from .nn.losses import LossKind
 from .nn.network import Model, load_checkpoint, save_checkpoint
+from .nn.optim import OptimizerKind
 from .preprocess import PreprocessSpec, preprocess_dataset, stratified_subset, verify_continuity
 from .seqmodels import SeqModelConfig, SeqModelKind, window_dataset
 from .training import TrainRun, TrainSchedule
@@ -56,117 +59,133 @@ def _dims(text: str) -> list[int]:
 
 
 def _schedule_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--epochs", dest="max_epochs", metavar="EPOCHS", type=int)
+    p.add_argument("--patience", type=int)
 
 
-def _schedule(args) -> TrainSchedule:
-    return TrainSchedule(batch_size=args.batch_size, max_epochs=args.epochs,
-                         patience=args.patience)
+def _fit_args(p: argparse.ArgumentParser) -> None:
+    """The options that train-ae and train-seq share."""
+    p.add_argument("--loss", choices=[k.value for k in LossKind])
+    p.add_argument("--opt", dest="optimizer", choices=[k.value for k in OptimizerKind])
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--split", default=None, help="split.json restricting training to its train/val ids")
+    _schedule_args(p)
+
+
+class _Pair(argparse.Action):
+    """Stores a size option as the (n, n) pair that ``target_size`` takes."""
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, (value, value))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A left-out option stays unset: one the CLI only passes on is named
+    after its library field or keyword and takes the library's default; only
+    the options the CLI reads itself carry a default here."""
     parser = _Parser(prog="latentcast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("ingest", parents=[], help="assemble a dataset from npy or PNM frames")
+    p = add("ingest", help="assemble a dataset from npy or PNM frames")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["npy", "pnm-dir"], required=True)
     p.add_argument("--channels", type=int, choices=[1, 3], default=1)
-    p.add_argument("--time-axis", type=int, default=None)
-    p.add_argument("--length", type=int, default=20, help="expected sequence length for axis detection")
+    p.add_argument("--time-axis", type=int)
+    p.add_argument("--length", dest="sequence_length", metavar="LENGTH", type=int,
+                   help="expected sequence length for axis detection")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("split", help="sequence-preserving train/val/test split")
+    p = add("split", help="sequence-preserving train/val/test split")
     p.add_argument("--dataset", required=True)
     p.add_argument("--test", type=float, default=0.2)
     p.add_argument("--val", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("preprocess", help="standardize length/size, binarize, crop, subset")
+    p = add("preprocess", help="standardize length/size, binarize, crop, subset")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--len", dest="length", type=int, default=20)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--binarize", action=argparse.BooleanOptionalAction, default=False)
+    p.add_argument("--len", dest="target_length", metavar="LENGTH", type=int)
+    p.add_argument("--size", dest="target_size", metavar="SIZE", type=int, action=_Pair)
+    p.add_argument("--binarize", action=argparse.BooleanOptionalAction)
     p.add_argument("--crop-borders", action="store_true")
-    p.add_argument("--border-threshold", type=float, default=10 / 255)
+    p.add_argument("--border-threshold", type=float)
     p.add_argument("--stratify", type=int, default=None, metavar="M")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--continuity-report", default=None)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train-ae", help="train the frame autoencoder")
+    p = add("train-ae", help="train the frame autoencoder")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--dims", type=_dims, default=[64, 128, 256])
-    p.add_argument("--loss", choices=["l1", "mse", "msle", "rmse"], default="l1")
-    p.add_argument("--opt", choices=["adam", "rmsprop"], default="adam")
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", default=None, help="split.json restricting training to its train/val ids")
-    _schedule_args(p)
+    p.add_argument("--dims", type=_dims)
+    _fit_args(p)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("extract", help="encode a dataset into latent maps")
+    p = add("extract", help="encode a dataset into latent maps")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train-seq", help="train a spatiotemporal predictor on latents")
+    p = add("train-seq", help="train a spatiotemporal predictor on latents")
     p.add_argument("--latents", required=True)
     p.add_argument("--kind", choices=[k.value for k in SeqModelKind], required=True)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--hidden", type=int, default=128)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--loss", choices=["l1", "mse", "msle", "rmse"], default="mse")
-    p.add_argument("--opt", choices=["adam", "rmsprop"], default="adam")
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", default=None)
-    _schedule_args(p)
+    p.add_argument("--layers", dest="hidden_layers", metavar="LAYERS", type=int)
+    p.add_argument("--hidden", dest="hidden_size", metavar="HIDDEN", type=int)
+    p.add_argument("--window", type=int)
+    _fit_args(p)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("predict", help="forecast and decode the next frames of test sequences")
+    p = add("predict", help="forecast and decode the next frames of test sequences")
     p.add_argument("--ae-ckpt", required=True)
     p.add_argument("--seq-ckpt", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default=None, help="split.json whose test ids to forecast")
     p.add_argument("--out", required=True, help="directory for pred.npy, truth.npy, predict.json")
 
-    p = sub.add_parser("gridsearch", help="grid search with K-fold validation")
+    p = add("gridsearch", help="grid search with K-fold validation")
     p.add_argument("--stage", choices=["ae", "seq"], required=True)
     p.add_argument("--grid", required=True, help="JSON object of axis name -> value list")
     p.add_argument("--dataset", required=True, help="frames for ae stage, latents for seq stage")
     p.add_argument("--kind", choices=[k.value for k in SeqModelKind], default=None)
-    p.add_argument("--kfold", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--kfold", dest="k_folds", metavar="KFOLD", type=int)
+    p.add_argument("--jobs", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", default=None, help="split.json keeping its test ids out of selection")
     _schedule_args(p)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("bench", help="per-iteration inference latency of a checkpoint")
+    p = add("bench", help="per-iteration inference latency of a checkpoint")
     p.add_argument("--ckpt", required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--latents", default=None)
     src.add_argument("--frames", default=None)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--warmup", type=int, default=10)
+    p.add_argument("--iters", type=int)
+    p.add_argument("--warmup", type=int)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("evaluate", help="score predicted frames against ground truth")
+    p = add("evaluate", help="score predicted frames against ground truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--intervals", action="store_true")
+    p.add_argument("--intervals", action="store_true", default=False)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("report", help="consolidate run JSON files into one report")
+    p = add("report", help="consolidate run JSON files into one report")
     p.add_argument("--runs", required=True, help="directory of per-run JSON files")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
 
     return parser
+
+
+def _given(args, *names: str) -> dict:
+    """The options among ``names`` that were given on the command line."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _config(cls, args, **fixed):
+    """A library config of ``fixed`` fields and the options given for the others."""
+    return cls(**fixed, **_given(args, *(f.name for f in fields(cls))))
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ingest(args) -> int:
     if args.format == "npy":
-        ds = load_sequences_npy(args.input, time_axis=args.time_axis,
-                                sequence_length=args.length)
+        ds = load_sequences_npy(args.input, **_given(args, "time_axis", "sequence_length"))
     else:
         root = Path(args.input)
         suffix = ".pgm" if args.channels == 1 else ".ppm"
@@ -216,18 +234,12 @@ def _cmd_preprocess(args) -> int:
         labels = ds.labels or ["all"] * len(ds)
         keep = stratified_subset(list(zip(ds.ids, labels)), args.stratify, args.seed)
         ds = ds.select(keep)
-    spec = PreprocessSpec(
-        target_length=args.length,
-        target_size=(args.size, args.size),
-        binarize=args.binarize,
-        crop_borders=args.crop_borders,
-        border_threshold=args.border_threshold,
-    )
-    out = preprocess_dataset(ds, spec)
+    out = preprocess_dataset(ds, _config(PreprocessSpec, args))
+    # the report is built first, so that a refused one leaves nothing written
+    rows = [{"id": seq_id, **asdict(verify_continuity(FrameSequence(seq_id, frames)))}
+            for seq_id, frames in zip(out.ids, out.data)] if args.continuity_report else []
     out.save(args.out)
     if args.continuity_report:
-        rows = [{"id": seq_id, **asdict(verify_continuity(FrameSequence(seq_id, frames)))}
-                for seq_id, frames in zip(out.ids, out.data)]
         Path(args.continuity_report).write_text(json.dumps(rows, indent=2))
     print(f"wrote {out.data.shape} dataset to {args.out}")
     return 0
@@ -271,23 +283,22 @@ def _trained_model(path: str, kind: str) -> tuple[Model, TrainRun]:
         raise CheckpointError(f"{path}: extra.train_run is not a training run: {exc}") from None
 
 
-def _cmd_train_ae(args) -> int:
-    train, val = _select_split(VideoDataset.load(args.dataset), _read_split(args.split))
-    config = AutoencoderConfig(
-        dims=args.dims,
-        loss=args.loss,
-        optimizer=args.opt,
-        learning_rate=args.lr,
-        input_channels=train.shape[4],
-        input_size=train.shape[2],
-    )
-    model, run = fit_autoencoder(config, args.seed, train, val, _schedule(args))
-    save_checkpoint(args.out, model, extra={"train_run": asdict(run)})
+def _save_trained(out: str, name: str, model: Model, run: TrainRun) -> int:
+    """Save a trained model with its run as ``extra.train_run``, and say so."""
+    save_checkpoint(out, model, extra={"train_run": asdict(run)})
     print(
-        f"trained autoencoder: best epoch {run.best_epoch}, "
-        f"train {run.final_train_loss:.6g}, val {run.final_val_loss:.6g}; saved to {args.out}"
+        f"trained {name}: best epoch {run.best_epoch}, "
+        f"train {run.final_train_loss:.6g}, val {run.final_val_loss:.6g}; saved to {out}"
     )
     return 0
+
+
+def _cmd_train_ae(args) -> int:
+    train, val = _select_split(VideoDataset.load(args.dataset), _read_split(args.split))
+    config = _config(AutoencoderConfig, args, input_channels=train.shape[4],
+                     input_size=train.shape[2])
+    trained = fit_autoencoder(config, args.seed, train, val, _config(TrainSchedule, args))
+    return _save_trained(args.out, "autoencoder", *trained)
 
 
 def _cmd_extract(args) -> int:
@@ -301,29 +312,16 @@ def _cmd_extract(args) -> int:
 
 def _cmd_train_seq(args) -> int:
     train, val = _select_split(VideoDataset.load(args.latents), _read_split(args.split))
-    config = SeqModelConfig(
-        kind=args.kind,
-        hidden_size=args.hidden,
-        hidden_layers=args.layers,
-        loss=args.loss,
-        optimizer=args.opt,
-        learning_rate=args.lr,
-        window=args.window,
-    )
-    model, run = fit_predictor(config, args.seed, train, val, _schedule(args))
-    save_checkpoint(args.out, model, extra={"train_run": asdict(run)})
-    print(
-        f"trained {args.kind}: best epoch {run.best_epoch}, "
-        f"train {run.final_train_loss:.6g}, val {run.final_val_loss:.6g}; saved to {args.out}"
-    )
-    return 0
+    config = _config(SeqModelConfig, args)
+    trained = fit_predictor(config, args.seed, train, val, _config(TrainSchedule, args))
+    return _save_trained(args.out, args.kind, *trained)
 
 
 def _cmd_gridsearch(args) -> int:
     grid = _json_object(Path(args.grid).read_bytes(), "grid file", ())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    schedule = _schedule(args)
+    schedule = _config(TrainSchedule, args)
     ds = VideoDataset.load(args.dataset)
     split = _read_split(args.split)
     if args.stage == "seq":
@@ -331,9 +329,8 @@ def _cmd_gridsearch(args) -> int:
             raise FormatError("--kind is required for the seq stage")
         if split is not None:
             ds = ds.select(split.train_ids + split.val_ids)
-        ranked = grid_search_seq(
-            grid, SeqModelKind(args.kind), ds.data, args.kfold, args.seed, schedule, args.jobs
-        )
+        ranked = grid_search_seq(grid, SeqModelKind(args.kind), ds.data, seed=args.seed,
+                                 schedule=schedule, **_given(args, "k_folds", "jobs"))
         rows = [
             {"config": values, "fold_mean": fs.mean, "fold_std": fs.std, "fold_losses": fs.losses}
             for values, fs in ranked
@@ -342,7 +339,7 @@ def _cmd_gridsearch(args) -> int:
         train, val = _select_split(ds, split or split_sequences(ds.ids, 0.2, 0.2, args.seed))
         if val is None:
             raise DataError("the validation partition is empty: --stage ae ranks configs on it")
-        ranked = grid_search_ae(grid, train, val, args.seed, schedule, args.jobs)
+        ranked = grid_search_ae(grid, train, val, args.seed, schedule, **_given(args, "jobs"))
         rows = [{"config": values, "val_mse": value} for values, value in ranked]
     (out_dir / "results.json").write_text(json.dumps(rows, indent=2))
     best = rows[0]
@@ -354,7 +351,7 @@ def _cmd_bench(args) -> int:
     model = _load_model(args.ckpt, "seq_predictor")[0]
     values = VideoDataset.load(args.latents or args.frames).data
     inputs, _, _ = window_dataset(values[: min(8, len(values))], model.config.window)
-    report = benchmark_inference(model, inputs, warmup=args.warmup, iters=args.iters)
+    report = benchmark_inference(model, inputs, **_given(args, "warmup", "iters"))
     text = json.dumps(asdict(report), indent=2)
     if args.out:
         Path(args.out).write_text(text)

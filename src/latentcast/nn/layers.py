@@ -216,14 +216,13 @@ class Reshape(Layer):
     def __init__(self, name, target_shape):
         super().__init__(name)
         self.target_shape = tuple(target_shape)
-        self._shape = None
 
     def forward(self, x, train=True):
-        self._shape = x.shape
+        self._cache = x.shape if train else None  # the input shape
         return x.reshape(-1, *self.target_shape)
 
     def backward(self, dy, need_dx=True):
-        return dy.reshape(self._shape)
+        return dy.reshape(self._take_cache())
 
 
 class Flatten(Reshape):
@@ -231,5 +230,5 @@ class Flatten(Reshape):
         super().__init__(name, ())
 
     def forward(self, x, train=True):
-        self._shape = x.shape
+        self._cache = x.shape if train else None
         return x.reshape(x.shape[0], -1)

@@ -95,9 +95,12 @@ class Sequential(Model):
         return x
 
     def backward(self, dy, need_dx=True):
-        # without need_dx the pass stops at the first parameter layer
+        # without need_dx the pass stops at the first parameter layer, and
+        # the layers before it drop their caches unread
         first = 0 if need_dx else min(i for i, layer in enumerate(self.layers)
                                       if any(m.params for m in layer.modules()))
+        for layer in self.layers[:first]:
+            layer._cache = None
         for i in reversed(range(first, len(self.layers))):
             dy = self.layers[i].backward(dy, need_dx or i > first)
         return dy

@@ -7,7 +7,9 @@ diagnostic.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -186,23 +188,10 @@ def stratified_subset(
     labels = sorted(by_label)
     label_order = [labels[i] for i in rng.permutation(len(labels))]
     pools = {lab: [by_label[lab][i] for i in rng.permutation(len(by_label[lab]))] for lab in labels}
-    counts = {lab: 0 for lab in labels}
-    remaining = m
-    while remaining > 0:
-        progressed = False
-        for lab in label_order:
-            if remaining == 0:
-                break
-            if counts[lab] < len(pools[lab]):
-                counts[lab] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:  # every label exhausted; unreachable given the size check
-            break
-    selected: list[str] = []
-    for lab in label_order:
-        selected.extend(pools[lab][: counts[lab]])
-    return selected
+    # the first m picks of the round-robin: round r takes every label with more than r ids
+    rounds = (lab for r in itertools.count() for lab in label_order if len(pools[lab]) > r)
+    counts = collections.Counter(itertools.islice(rounds, m))
+    return [seq_id for lab in label_order for seq_id in pools[lab][: counts[lab]]]
 
 
 # ---------------------------------------------------------------------------

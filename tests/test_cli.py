@@ -1,8 +1,10 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
+import os
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -12,12 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latentcast import experiment
+from latentcast import cli, experiment
 from latentcast.autoencoder import AutoencoderConfig
 from latentcast.cli import _COMMANDS, build_parser, main
 from latentcast.dataio import NPY_MAGIC, VideoDataset, write_array_file
 from latentcast.experiment import run_pipeline
 from latentcast.nn.network import load_checkpoint, save_checkpoint
+from latentcast.preprocess import PreprocessSpec
 from latentcast.seqmodels import SeqModelConfig
 from latentcast.synthetic import moving_sprites
 from latentcast.training import TrainSchedule
@@ -639,6 +642,8 @@ _REFUSED_VALUES = {
     "split-seed": ["split", "--dataset", "DATA", "--seed", "-1"],
     "train-seq-seed": ["train-seq", "--latents", "DATA", "--kind", "rnn", "--layers", "1",
                        "--epochs", "1", "--seed", "-1"],
+    "preprocess-continuity": ["preprocess", "--in", "DATA", "--len", "2", "--size", "16",
+                              "--continuity-report", os.devnull],
 }
 
 
@@ -656,6 +661,55 @@ def test_refused_config_value_exits_2_without_traceback(tmp_path, six_sequences,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+class _Handed(Exception):
+    """Raised by a recorder that stands in for a library function."""
+
+
+# Each command with its required values only, the library function its
+# options go to, the arguments that function must receive (configs built from
+# the required values alone) and its keywords that must not be passed at all.
+# DATA is the 6-sequence file, whose default split leaves validation ids.
+_LEFT_OUT = {
+    "ingest-npy": (["ingest", "--input", "frames.npy", "--format", "npy"], "load_sequences_npy",
+                   {}, {"time_axis", "sequence_length"}),
+    "preprocess": (["preprocess", "--in", "ds.npy"], "preprocess_dataset",
+                   {"spec": PreprocessSpec()}, set()),
+    "train-ae": (["train-ae", "--dataset", "ds.npy"], "fit_autoencoder",
+                 {"config": AutoencoderConfig(input_channels=1, input_size=16), "seed": 0,
+                  "schedule": TrainSchedule()}, set()),
+    "train-seq": (["train-seq", "--latents", "lat.npy", "--kind", "cnn3d"], "fit_predictor",
+                  {"config": SeqModelConfig(kind="cnn3d"), "seed": 0,
+                   "schedule": TrainSchedule()}, set()),
+    "gridsearch-seq": (["gridsearch", "--stage", "seq", "--kind", "rnn", "--grid", "grid.json",
+                        "--dataset", "lat.npy"], "grid_search_seq",
+                       {"seed": 0, "schedule": TrainSchedule()}, {"k_folds", "jobs"}),
+    "gridsearch-ae": (["gridsearch", "--stage", "ae", "--grid", "grid.json", "--dataset", "DATA"],
+                      "grid_search_ae",
+                      {"seed": 0, "schedule": TrainSchedule()}, {"jobs"}),
+    "bench": (["bench", "--ckpt", "seq-ckpt", "--latents", "lat.npy"], "benchmark_inference",
+              {}, {"warmup", "iters"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LEFT_OUT))
+def test_left_out_options_take_the_library_defaults(tmp_path, valid_inputs, six_sequences,
+                                                    monkeypatch, case):
+    argv, target, expected, left_out = _LEFT_OUT[case]
+    signature, calls = inspect.signature(getattr(cli, target)), []
+
+    def record(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        raise _Handed
+
+    monkeypatch.setattr(cli, target, record)
+    with pytest.raises(_Handed):
+        main([*(six_sequences if a == "DATA" else valid_inputs.get(a, a) for a in argv),
+              "--out", str(tmp_path / "out")])
+    [passed] = calls
+    assert {name: passed[name] for name in expected} == expected
+    assert not left_out & passed.keys()
 
 
 @pytest.mark.parametrize("grid, named", [({"bogus": [1]}, "bogus"), ({"loss": ["nope"]}, "nope"),

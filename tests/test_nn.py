@@ -29,10 +29,12 @@ from latentcast.nn import (
     ConvTranspose2D,
     Dense,
     ElmanCell,
+    Flatten,
     LeakyReLU,
     LossKind,
     RMSProp,
     Recurrence,
+    Reshape,
     Sequential,
     Sigmoid,
     he_normal,
@@ -621,6 +623,8 @@ _LAYERS = {
     "LeakyReLU": (lambda: LeakyReLU("act"), (2, 3)),
     "Sigmoid": (lambda: Sigmoid("sig"), (2, 3)),
     "Recurrence": (lambda: Recurrence("rec", [ElmanCell("cell", 3, 2)]), (2, 4, 3)),
+    "Reshape": (lambda: Reshape("fold", (4, 3)), (2, 2, 4, 3)),
+    "Flatten": (lambda: Flatten("flat"), (2, 4, 3)),
 }
 
 

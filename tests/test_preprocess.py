@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +186,33 @@ class TestStratifiedSubset:
         pool = [(f"i{i}", f"l{i % 5}") for i in range(50)]
         assert stratified_subset(pool, 23, seed=9) == stratified_subset(pool, 23, seed=9)
         assert stratified_subset(pool, 23, seed=9) != stratified_subset(pool, 23, seed=10)
+
+    # the exact picks, in order, of three populations at two seeds: a short
+    # list whole, the 599 picks by the sha256 of their comma-joined ids
+    _PINNED = {
+        ("balanced", 0): ["i10", "i26", "i14", "i22", "i30", "i36", "i8", "i28", "i16", "i20",
+                          "i17", "i29", "i25", "i9", "i39", "i35", "i19", "i31"],
+        ("balanced", 7): ["i24", "i32", "i0", "i28", "i16", "i2", "i22", "i18", "i38", "i26",
+                          "i13", "i33", "i17", "i25", "i31", "i11", "i15", "i3"],
+        ("scarce", 0): ["b0", "a9", "a2", "a7", "a4", "a5", "a1", "c1", "c0"],
+        ("scarce", 7): ["a6", "a8", "a0", "a7", "a4", "a1", "b0", "c0", "c1"],
+        ("101-labels", 0): "de69475332d4ab37",
+        ("101-labels", 7): "fa2f541394bd95c4",
+    }
+
+    @pytest.mark.parametrize("population, seed", sorted(_PINNED))
+    def test_pinned_picks(self, population, seed):
+        pool, m = {
+            "balanced": ([(f"i{i}", f"l{i % 4}") for i in range(40)], 18),
+            "scarce": ([(f"a{i}", "big") for i in range(10)]
+                       + [("b0", "small"), ("c0", "mid"), ("c1", "mid")], 9),
+            "101-labels": ([(f"id{L}_{i}", f"label{L:03d}") for L in range(101)
+                            for i in range(10)], 599),
+        }[population]
+        picked = stratified_subset(pool, m, seed)
+        if population == "101-labels":
+            picked = hashlib.sha256(",".join(picked).encode()).hexdigest()[:16]
+        assert picked == self._PINNED[population, seed]
 
 
 class TestContinuity:
